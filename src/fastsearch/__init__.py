@@ -8,17 +8,7 @@ layout), an O(1) bucket-indexed search family with rounding-aware
 feasibility analysis, lock-step batch execution, and a benchmark CLI.
 """
 
-from .batch import ALGORITHMS, LaneConfig, PreparedKernel, batch_search, prepare, run_batch
-from .binsearch import (
-    OffsetConstants,
-    bitset_search_v1,
-    bitset_search_v2,
-    bitset_search_v3,
-    classic_search,
-    offset_constants,
-    offset_search,
-    probe_constant,
-)
+from .batch import ALGORITHMS, PreparedKernel, prepare, run_batch
 from .direct import (
     DirectIndex,
     FeasibilityReport,
@@ -28,9 +18,6 @@ from .direct import (
     closed_form_h_r,
     compute_h_r,
     direct_search,
-    direct_search_cache,
-    direct_search_gap2,
-    direct_search_generic,
     feasibility_estimate,
     memory_cost_estimate,
     minimal_index_bytes,
@@ -51,16 +38,14 @@ from .errors import (
     TruncatedFile,
     VersionMismatch,
 )
-from .eytzinger import EytzingerLayout, build_layout, eytzinger_search
+from .eytzinger import EytzingerLayout, build_layout
 from .partition import (
-    PaddedPartition,
     QueryBatch,
     SortedPartition,
     gen_queries,
     gen_uniform_gap_partition,
     linear_scan_oracle,
     linear_scan_oracle_batch,
-    pad_right_pow2,
     validate_partition,
 )
 
@@ -76,35 +61,23 @@ __all__ = [
     "HGrowthStats",
     "IndexFileError",
     "InfeasibleError",
-    "LaneConfig",
     "NonFinite",
     "NotDistinguishable",
     "NotStrictlyIncreasing",
-    "OffsetConstants",
     "OutOfDomain",
     "Overflow",
     "PartitionError",
-    "PaddedPartition",
     "PreparedKernel",
     "QueryBatch",
     "SortedPartition",
     "TooShort",
     "TruncatedFile",
     "VersionMismatch",
-    "batch_search",
-    "bitset_search_v1",
-    "bitset_search_v2",
-    "bitset_search_v3",
     "build",
     "build_index",
-    "classic_search",
     "closed_form_h_r",
     "compute_h_r",
     "direct_search",
-    "direct_search_cache",
-    "direct_search_gap2",
-    "direct_search_generic",
-    "eytzinger_search",
     "feasibility_estimate",
     "gen_queries",
     "gen_uniform_gap_partition",
@@ -112,11 +85,7 @@ __all__ = [
     "linear_scan_oracle_batch",
     "memory_cost_estimate",
     "minimal_index_bytes",
-    "offset_constants",
-    "offset_search",
-    "pad_right_pow2",
     "prepare",
-    "probe_constant",
     "run_batch",
     "validate_partition",
     "with_fused",

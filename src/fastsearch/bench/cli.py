@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from ..batch import ALGORITHMS
-from ..direct import build, direct_search_generic
+from ..direct import build, direct_search
 from ..errors import IndexFileError, PartitionError
 from ..partition import gen_queries, linear_scan_oracle_batch, validate_partition
 from . import persist
@@ -204,7 +204,7 @@ def index_main(argv=None) -> int:
                 return EXIT_USAGE
             queries = gen_queries(p, args.verify_queries, seed=args.seed)
             want = linear_scan_oracle_batch(p, queries.values)
-            got = [direct_search_generic(idx, p, z) for z in queries.values.tolist()]
+            got = [direct_search(idx, p, z) for z in queries.values.tolist()]
             if got != want.tolist():
                 print("index: error: loaded index disagrees with the oracle",
                       file=sys.stderr)

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..batch import ALGORITHMS, LaneConfig, batch_search, prepare
+from ..batch import ALGORITHMS, prepare, run_batch
 from ..direct import build_index, compute_h_r
 from ..errors import InfeasibleError
-from ..partition import gen_uniform_gap_partition, linear_scan_oracle_batch
+from ..partition import gen_queries, gen_uniform_gap_partition, linear_scan_oracle_batch
 
 
 @dataclass(frozen=True)
@@ -84,13 +84,8 @@ def aligned_empty(count: int, dtype, boundary: int = 32) -> np.ndarray:
 
 
 def _aligned_queries(p, count: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    z = rng.uniform(float(p.values[0]), float(p.values[-1]), size=count)
-    z = z.astype(p.values.dtype)
-    top = p.values[-1]
-    z[z >= top] = np.nextafter(top, p.values.dtype.type(-np.inf))
     out = aligned_empty(count, p.values.dtype)
-    out[:] = z
+    out[:] = gen_queries(p, count, seed).values
     return out
 
 
@@ -158,10 +153,8 @@ def run_throughput(
                     )
                     continue
                 for d in d_widths:
-                    cfg = LaneConfig(d=d, kernel=algorithm, structure=prep)
-
-                    def run_pass(cfg=cfg):
-                        batch_search(cfg, z, out, threads)
+                    def run_pass(prep=prep, d=d):
+                        run_batch(prep, z, d=d, threads=threads, out=out)
 
                     # Validity gate: check the kernel against the oracle
                     # once per configuration before any timing.

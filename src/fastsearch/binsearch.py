@@ -6,16 +6,16 @@ on N, contain no data-dependent exit, and express their per-iteration
 choice as a conditional assignment, which is what makes them amenable to
 lock-step batch execution (see :mod:`fastsearch.batch`).
 
-Each kernel exists in two forms: a ``*_seq`` function operating on a plain
-index-by-integer sequence (used by the batch layer and by instrumented
-tests), and a public wrapper taking the partition types.
+Each ``*_seq`` function here is the readable reference for its kernel: a
+loop over a plain index-by-integer sequence, used by the classical batch
+path and by instrumented tests.  The batch layer compiles the unrolled
+scalar and lane forms from the same steps, and the tests compare those
+fast forms against these loops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .partition import PaddedPartition, SortedPartition, check_domain
 
 
 @dataclass(frozen=True)
@@ -112,33 +112,3 @@ def offset_seq(xs, f: int, s: int, j: int, z) -> int:
             i = f
         s -= half
     return i
-
-
-def classic_search(p: SortedPartition, z) -> int:
-    """Classical binary search; equals the linear-scan oracle."""
-    check_domain(p, z)
-    return classic_seq(p.values, p.n_intervals, z)
-
-
-def bitset_search_v1(p: SortedPartition, probe: int, z) -> int:
-    """Fixed-iteration bit-setting search with an in-loop range guard."""
-    check_domain(p, z)
-    return bitset1_seq(p.values, p.n_intervals, probe, z)
-
-
-def bitset_search_v2(pp: PaddedPartition, z) -> int:
-    """Bit-setting search over the padded array; no guard, no branch."""
-    check_domain(pp.base, z)
-    return bitset2_seq(pp.padded, pp.probe, z)
-
-
-def bitset_search_v3(p: SortedPartition, probe: int, z) -> int:
-    """Bit-setting search without padding; probes are clamped to N."""
-    check_domain(p, z)
-    return bitset3_seq(p.values, p.n_intervals, probe, z)
-
-
-def offset_search(p: SortedPartition, c: OffsetConstants, z) -> int:
-    """Offset-based search with a fixed J-iteration loop."""
-    check_domain(p, z)
-    return offset_seq(p.values, c.F, c.S, c.J, z)

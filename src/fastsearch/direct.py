@@ -11,8 +11,11 @@ read and at most ``gap`` comparisons:
 * gap 2: the separation requirement is relaxed to f(X_{i+2}) > f(X_i) and
   K_j = max{i : f(X_i) <= j}; the candidate is within two of the answer
   and two independent comparisons settle it, shrinking the table.
-* gap q > 2 is constructed the same way and served by a generic kernel
-  with q comparisons; only gaps 1 and 2 have dedicated kernels.
+* gap q > 2 is constructed the same way; the candidate is within q of
+  the answer and q comparisons settle it.
+
+:func:`direct_search` is the checked scalar reference for every gap; the
+fast scalar and lane kernels live in :mod:`fastsearch.batch`.
 
 Construction certifies the separation property directly in floating
 point: starting from the rounded reciprocal of the smallest rounded
@@ -30,7 +33,7 @@ from math import ceil
 
 import numpy as np
 
-from .errors import NotDistinguishable, OutOfDomain, Overflow
+from .errors import NotDistinguishable, Overflow
 from .partition import ROUNDOFF, SortedPartition, check_domain
 
 #: Table-entry width is fixed at 32-bit unsigned; construction refuses larger N.
@@ -263,53 +266,19 @@ def with_fused(idx: DirectIndex, p: SortedPartition) -> DirectIndex:
     return replace(idx, fused=fused)
 
 
-def bucket_of(idx: DirectIndex, z) -> int:
-    """f(z) = floor(H * (z - X_0)) evaluated in the index's precision."""
-    t = idx.h.dtype.type
-    return int(idx.h * (t(z) - idx.x0))
-
-
 def direct_search(idx: DirectIndex, p: SortedPartition, z) -> int:
-    """Gap-1 kernel: one bucket lookup plus one comparison."""
-    check_domain(p, z)
-    t = int(idx.k[bucket_of(idx, z)])
-    return t - (1 if z < p.values[t] else 0)
+    """Checked gap-q reference: one bucket read, then q comparisons.
 
-
-def direct_search_gap2(idx: DirectIndex, p: SortedPartition, z) -> int:
-    """Gap-2 kernel: two independent comparisons correct the candidate.
-
-    The read of X_{t-1} is clamped to X_0, which behaves exactly like the
-    sentinel copy of X_0 logically prepended to the knots: z < X_0 never
-    holds, so a clamped read never changes the result.
+    The bucket f(z) is evaluated in the index's precision.  The candidate
+    t = K[f(z)] is corrected by comparing z against X_t .. X_{t-q+1}; a read
+    below X_0 is clamped to X_0, which behaves exactly like the sentinel
+    copies of X_0 the gap kernels logically prepend to the knots (z < X_0
+    never holds, so a clamped read never changes the result).
     """
-    if idx.q != 2:
-        raise ValueError("index was not built with gap 2")
     check_domain(p, z)
     xs = p.values
-    t = int(idx.k[bucket_of(idx, z)])
-    return t - (1 if z < xs[t] else 0) - (1 if z < xs[max(t - 1, 0)] else 0)
-
-
-def direct_search_generic(idx: DirectIndex, p: SortedPartition, z) -> int:
-    """Gap-q kernel: q clamped comparisons against X_t .. X_{t-q+1}."""
-    check_domain(p, z)
-    xs = p.values
-    t = int(idx.k[bucket_of(idx, z)])
-    hits = sum(1 for m in range(idx.q) if z < xs[max(t - m, 0)])
-    return t - hits
-
-
-def direct_search_cache(idx: DirectIndex, z) -> int:
-    """Gap-1 kernel over fused records; the knot value never comes from X."""
-    if idx.fused is None:
-        raise ValueError("index has no fused records; build with fused=True")
-    sentinel = idx.fused["val"][idx.r]  # equals X_N, since K_R = N
-    if not (idx.x0 <= z < sentinel):
-        raise OutOfDomain(f"z={z!r} outside [{idx.x0!r}, {sentinel!r})")
-    rec = idx.fused[bucket_of(idx, z)]
-    t = int(rec["idx"])
-    return t - (1 if z < rec["val"] else 0)
+    t = int(idx.k[int(idx.h * (idx.h.dtype.type(z) - idx.x0))])
+    return t - sum(1 for m in range(idx.q) if z < xs[max(t - m, 0)])
 
 
 def minimal_index_bytes(n: int) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import SortedPartition, check_domain
+from .partition import SortedPartition
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,3 @@ def eytzinger_seq(tree, depth: int, z) -> int:
     for _ in range(depth):
         k = 2 * k + (1 if z >= tree[k - 1] else 0)
     return k - (1 << depth) - 1
-
-
-def eytzinger_search(lay: EytzingerLayout, z) -> int:
-    """Heap-order descent; equals the linear-scan oracle on the base knots."""
-    check_domain(lay.source, z)
-    return eytzinger_seq(lay.tree, lay.L, z)

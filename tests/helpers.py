@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from fastsearch.partition import SortedPartition
+from fastsearch.partition import SortedPartition, gen_queries
 
 
 class CountingList:
@@ -40,10 +40,5 @@ def boundary_probes(p: SortedPartition) -> np.ndarray:
 
 
 def random_queries(p: SortedPartition, count: int, seed: int) -> np.ndarray:
-    """Uniform in-domain queries in the partition's dtype."""
-    rng = np.random.default_rng(seed)
-    z = rng.uniform(float(p.values[0]), float(p.values[-1]), size=count)
-    z = z.astype(p.values.dtype)
-    top = p.values[-1]
-    z[z >= top] = np.nextafter(top, p.values.dtype.type(-np.inf))
-    return z
+    """Uniform in-domain queries in the partition's dtype (read-only)."""
+    return gen_queries(p, count, seed).values

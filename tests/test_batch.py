@@ -1,14 +1,12 @@
+import gc
+import weakref
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from fastsearch.batch import (
-    ALGORITHMS,
-    LaneConfig,
-    batch_search,
-    prepare,
-    resolve_threads,
-    run_batch,
-)
+from fastsearch import batch
+from fastsearch.batch import ALGORITHMS, prepare, resolve_threads, run_batch
 from fastsearch.errors import OutOfDomain
 from fastsearch.partition import (
     gen_queries,
@@ -55,8 +53,7 @@ class TestLaneInvariance:
         p, z, want = workload
         prep = prepare("bitset2", p)
         out = np.empty(5, dtype=np.int64)
-        n = batch_search(LaneConfig(d=4, kernel="bitset2", structure=prep), z[:5], out)
-        assert n == 5
+        assert run_batch(prep, z[:5], d=4, out=out) is out
         assert out.tolist() == want[:5].tolist()
 
 
@@ -85,7 +82,7 @@ class TestBatchContract:
         prep = prepare("offset", p)
         out = np.empty(len(z) - 1, dtype=np.int64)
         with pytest.raises(ValueError):
-            batch_search(LaneConfig(d=1, kernel="offset", structure=prep), z, out)
+            run_batch(prep, z, d=1, out=out)
 
     def test_query_batch_type_accepted(self):
         p = gen_uniform_gap_partition(64, 1, 5, seed=5)
@@ -95,10 +92,10 @@ class TestBatchContract:
         assert np.array_equal(got, linear_scan_oracle_batch(p, qb.values))
 
     def test_lane_width_validated(self, workload):
-        p, _, _ = workload
+        p, z, _ = workload
         prep = prepare("direct", p)
         with pytest.raises(ValueError):
-            LaneConfig(d=0, kernel="direct", structure=prep)
+            run_batch(prep, z, d=0)
 
     def test_unknown_algorithm(self, workload):
         p, _, _ = workload
@@ -114,7 +111,9 @@ class TestBatchContract:
 
 class TestThreads:
     @pytest.mark.parametrize("algorithm", ["classic", "bitset2", "direct"])
-    def test_thread_count_never_changes_results(self, workload, algorithm):
+    def test_thread_count_never_changes_results(self, workload, algorithm, monkeypatch):
+        # Lift the CPU-count cap so every requested split really runs.
+        monkeypatch.setattr(batch.os, "cpu_count", lambda: 8)
         p, z, want = workload
         prep = prepare(algorithm, p)
         single = run_batch(prep, z, d=8, threads=1)
@@ -132,6 +131,92 @@ class TestThreads:
     def test_invalid_thread_count(self):
         with pytest.raises(ValueError):
             resolve_threads(0)
+
+    def test_worker_count_capped_at_cpu_count(self, workload, monkeypatch):
+        """A huge thread request never asks the executor for more workers
+        than there are CPUs.  The executor is replaced by one that records
+        max_workers and runs the work inline, so no thread is started."""
+        requested = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fn(*args)
+                return SimpleNamespace(result=lambda: None)
+
+        monkeypatch.setattr(batch, "ThreadPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(batch.os, "cpu_count", lambda: 4)
+        p, z, want = workload
+        prep = prepare("direct", p)
+        assert np.array_equal(run_batch(prep, z, d=8, threads=100_000), want)
+        monkeypatch.setenv("FASTSEARCH_THREADS", "100000")
+        assert np.array_equal(run_batch(prep, z, d=8), want)
+        assert requested == [4, 4]
+
+
+class TestQueryConversion:
+    """Queries are rounded to the partition's dtype once, at the boundary."""
+
+    @pytest.fixture(scope="class")
+    def single(self):
+        return gen_uniform_gap_partition(4095, 1, 5, seed=22, precision="single")
+
+    @pytest.mark.parametrize("d", [1, 8])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_float64_and_list_knot_queries(self, single, algorithm, d):
+        knots = single.values[1:-1]
+        want = linear_scan_oracle_batch(single, knots)
+        prep = prepare(algorithm, single)
+        assert np.array_equal(run_batch(prep, knots.astype(np.float64), d=d), want)
+        assert np.array_equal(run_batch(prep, knots.tolist(), d=d), want)
+
+    @pytest.mark.parametrize("d", [1, 8])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_float64_rounding_onto_xn_rejected(self, single, algorithm, d):
+        z = single.values[:8].astype(np.float64)
+        z[3] = np.nextafter(np.float64(single.values[-1]), -np.inf)
+        with pytest.raises(OutOfDomain) as exc:
+            run_batch(prepare(algorithm, single), z, d=d)
+        assert exc.value.position == 3
+
+    @pytest.mark.parametrize("d", [1, 8])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_float64_just_below_xn_in_double(self, algorithm, d):
+        p = gen_uniform_gap_partition(4095, 1, 5, seed=22)
+        z = np.array([p.values[0], np.nextafter(p.values[-1], -np.inf)] * 5)
+        got = run_batch(prepare(algorithm, p), z, d=d)
+        assert got.tolist() == [0, p.n_intervals - 1] * 5
+
+    @pytest.mark.parametrize("d", [1, 8])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_input_must_be_one_dimensional(self, single, algorithm, d):
+        prep = prepare(algorithm, single)
+        for bad in (single.values[5], float(single.values[5]), single.values[:8].reshape(2, 4)):
+            with pytest.raises(ValueError) as exc:
+                run_batch(prep, bad, d=d)
+            assert not isinstance(exc.value, OutOfDomain)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_dropped_kernel_is_freed_without_gc(algorithm):
+    """No prepared kernel sits in a reference cycle: dropping it frees its
+    scalar (and the tables the scalar binds) without the cyclic collector."""
+    p = gen_uniform_gap_partition(255, 1, 5, seed=3)
+    gc.collect()
+    gc.disable()
+    try:
+        scalar = weakref.ref(prepare(algorithm, p).scalar)
+        assert scalar() is None
+    finally:
+        gc.enable()
 
 
 class TestEquivalenceMatrix:

@@ -11,7 +11,7 @@ from fastsearch.bench.harness import (
 )
 from fastsearch.bench.persist import load_index, save_index
 from fastsearch.bench.report import emit_report
-from fastsearch.direct import build, direct_search, direct_search_gap2
+from fastsearch.direct import build, direct_search
 from fastsearch.errors import (
     BadMagic,
     ChecksumMismatch,
@@ -126,8 +126,8 @@ class TestPersistence:
         back = load_index(path)
         assert back.q == 2 and len(back.left_pad) == 1
         z = random_queries(p, 500, seed=5)
-        assert [direct_search_gap2(back, p, v) for v in z.tolist()] == [
-            direct_search_gap2(idx, p, v) for v in z.tolist()
+        assert [direct_search(back, p, v) for v in z.tolist()] == [
+            direct_search(idx, p, v) for v in z.tolist()
         ]
 
     def test_corrupt_payload_byte(self, tmp_path):

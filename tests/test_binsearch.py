@@ -5,17 +5,11 @@ from fastsearch.binsearch import (
     bitset1_seq,
     bitset2_seq,
     bitset3_seq,
-    bitset_search_v1,
-    bitset_search_v2,
-    bitset_search_v3,
-    classic_search,
     classic_seq,
     offset_constants,
-    offset_search,
     offset_seq,
     probe_constant,
 )
-from fastsearch.errors import OutOfDomain
 from fastsearch.partition import (
     gen_uniform_gap_partition,
     linear_scan_oracle,
@@ -27,56 +21,46 @@ from helpers import CountingList, boundary_probes, random_queries
 
 
 def all_searchers(p):
-    """Name -> callable(z) for the five comparison-based kernels."""
-    pp = pad_right_pow2(p)
-    probe = probe_constant(p.n_intervals)
-    c = offset_constants(p.n_intervals)
+    """Name -> callable(z) for the five comparison-based reference loops."""
+    xs, n = p.values, p.n_intervals
+    padded = pad_right_pow2(p).padded
+    probe = probe_constant(n)
+    c = offset_constants(n)
     return {
-        "classic": lambda z: classic_search(p, z),
-        "bitset1": lambda z: bitset_search_v1(p, probe, z),
-        "bitset2": lambda z: bitset_search_v2(pp, z),
-        "bitset3": lambda z: bitset_search_v3(p, probe, z),
-        "offset": lambda z: offset_search(p, c, z),
+        "classic": lambda z: classic_seq(xs, n, z),
+        "bitset1": lambda z: bitset1_seq(xs, n, probe, z),
+        "bitset2": lambda z: bitset2_seq(padded, probe, z),
+        "bitset3": lambda z: bitset3_seq(xs, n, probe, z),
+        "offset": lambda z: offset_seq(xs, c.F, c.S, c.J, z),
     }
 
 
 class TestExamples:
     def test_classic(self):
-        p = validate_partition([0, 1, 2, 3])
-        assert classic_search(p, 2.9) == 2
-        assert classic_search(p, 0.0) == 0
+        search = all_searchers(validate_partition([0, 1, 2, 3]))["classic"]
+        assert search(2.9) == 2
+        assert search(0.0) == 0
 
     def test_bitset1(self):
-        p = validate_partition([0, 1, 2, 3])
-        assert bitset_search_v1(p, probe_constant(3), 1.5) == 1
+        assert all_searchers(validate_partition([0, 1, 2, 3]))["bitset1"](1.5) == 1
         p9 = gen_uniform_gap_partition(9, 1, 5, seed=9)
         z = np.nextafter(p9.values[-1], -np.inf)
-        assert bitset_search_v1(p9, probe_constant(8), z) == 7
+        assert all_searchers(p9)["bitset1"](z) == 7
 
     def test_bitset2(self):
-        p = validate_partition([0, 1, 2, 3])
-        assert bitset_search_v2(pad_right_pow2(p), 2.5) == 2
+        assert all_searchers(validate_partition([0, 1, 2, 3]))["bitset2"](2.5) == 2
         p9 = gen_uniform_gap_partition(9, 1, 5, seed=9)
         z = np.nextafter(p9.values[-1], -np.inf)
-        assert bitset_search_v2(pad_right_pow2(p9), z) == 7
+        assert all_searchers(p9)["bitset2"](z) == 7
 
     def test_bitset3(self):
-        p = validate_partition([0, 1, 2, 3])
-        assert bitset_search_v3(p, probe_constant(3), 1.0) == 1
+        assert all_searchers(validate_partition([0, 1, 2, 3]))["bitset3"](1.0) == 1
         p9 = gen_uniform_gap_partition(9, 1, 5, seed=9)
-        assert bitset_search_v3(p9, probe_constant(8), p9.values[0]) == 0
+        assert all_searchers(p9)["bitset3"](p9.values[0]) == 0
 
     def test_offset(self):
-        p = validate_partition([0, 1, 2, 3])
-        assert offset_search(p, offset_constants(3), 2.2) == 2
-        p2 = validate_partition([0.0, 1.0])
-        assert offset_search(p2, offset_constants(1), 0.5) == 0
-
-    def test_out_of_domain(self):
-        p = validate_partition([0, 1, 2, 3])
-        for name, search in all_searchers(p).items():
-            with pytest.raises(OutOfDomain):
-                search(3.0)
+        assert all_searchers(validate_partition([0, 1, 2, 3]))["offset"](2.2) == 2
+        assert all_searchers(validate_partition([0.0, 1.0]))["offset"](0.5) == 0
 
 
 class TestOffsetConstants:

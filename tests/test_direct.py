@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
+from fastsearch.batch import prepare
 from fastsearch.direct import (
     build,
     build_index,
     closed_form_h_r,
     compute_h_r,
     direct_search,
-    direct_search_cache,
-    direct_search_gap2,
-    direct_search_generic,
     feasibility_estimate,
     knot_buckets,
     memory_cost_estimate,
@@ -76,7 +74,7 @@ class TestComputeHR:
         h, r, stats = compute_h_r(p, q=2)
         idx = build_index(p, h, r, q=2)
         for z in boundary_probes(p):
-            assert direct_search_gap2(idx, p, z) == linear_scan_oracle(p, z)
+            assert direct_search(idx, p, z) == linear_scan_oracle(p, z)
 
     @pytest.mark.parametrize(
         "precision,seed", [("single", 116), ("double", 32)]
@@ -113,7 +111,7 @@ class TestComputeHR:
         h, r, _ = compute_h_r(p, q=2)
         idx = build_index(p, h, r, q=2)
         for z in boundary_probes(p):
-            assert direct_search_gap2(idx, p, z) == 0
+            assert direct_search(idx, p, z) == 0
 
     @pytest.mark.parametrize("precision", ["single", "double"])
     def test_monotone_bucket_function(self, precision):
@@ -194,31 +192,28 @@ class TestSearchKernels:
 
     def test_out_of_domain(self):
         p = worked_partition()
-        idx, _ = build(p, fused=True)
-        for fn in (
-            lambda z: direct_search(idx, p, z),
-            lambda z: direct_search_cache(idx, z),
-        ):
-            with pytest.raises(OutOfDomain):
-                fn(1.1)
-            with pytest.raises(OutOfDomain):
-                fn(-0.5)
+        idx, _ = build(p)
+        with pytest.raises(OutOfDomain):
+            direct_search(idx, p, 1.1)
+        with pytest.raises(OutOfDomain):
+            direct_search(idx, p, -0.5)
 
     @pytest.mark.parametrize("precision", ["single", "double"])
     def test_exhaustive_small_sweep(self, precision):
         for size in range(2, 65):
             p = gen_uniform_gap_partition(size, 1, 5, seed=size, precision=precision)
-            idx, _ = build(p, fused=True)
-            for z in boundary_probes(p):
-                want = linear_scan_oracle(p, z)
-                assert direct_search(idx, p, z) == want, (size, z)
-                assert direct_search_cache(idx, z) == want, (size, z)
+            idx, _ = build(p)
+            z = boundary_probes(p)
+            want = np.array([linear_scan_oracle(p, v) for v in z])
+            assert [direct_search(idx, p, v) for v in z] == want.tolist(), size
+            fused = prepare("direct-cache", p).lanes(z)
+            assert np.array_equal(fused, want), size
 
     def test_gap2_examples(self):
         p = validate_partition([0.0, 1.0, 2.0, 3.0])
         idx, _ = build(p, q=2)
-        assert direct_search_gap2(idx, p, 0.5) == 0
-        assert direct_search_gap2(idx, p, 0.0) == 0  # clamped read never fires
+        assert direct_search(idx, p, 0.5) == 0
+        assert direct_search(idx, p, 0.0) == 0  # clamped read never fires
 
     @pytest.mark.parametrize("size", [15, 255, 4095])
     def test_gap2_matches_gap1_and_oracle(self, size):
@@ -229,7 +224,7 @@ class TestSearchKernels:
         z = random_queries(p, 5000, seed=size + 9)
         want = linear_scan_oracle_batch(p, z)
         got1 = [direct_search(idx1, p, v) for v in z.tolist()]
-        got2 = [direct_search_gap2(idx2, p, v) for v in z.tolist()]
+        got2 = [direct_search(idx2, p, v) for v in z.tolist()]
         assert got1 == want.tolist()
         assert got2 == want.tolist()
 
@@ -237,15 +232,15 @@ class TestSearchKernels:
         p = gen_uniform_gap_partition(63, 1, 5, seed=8)
         idx, _ = build(p, q=3)
         for z in boundary_probes(p):
-            assert direct_search_generic(idx, p, z) == linear_scan_oracle(p, z)
+            assert direct_search(idx, p, z) == linear_scan_oracle(p, z)
 
     def test_fused_matches_plain(self):
         p = gen_uniform_gap_partition(255, 1, 5, seed=10)
-        idx, _ = build(p, fused=True)
+        idx, _ = build(p)
         z = random_queries(p, 10_000, seed=77)
         plain = [direct_search(idx, p, v) for v in z.tolist()]
-        fused = [direct_search_cache(idx, v) for v in z.tolist()]
-        assert plain == fused
+        fused = prepare("direct-cache", p).lanes(z)
+        assert plain == fused.tolist()
 
     def test_fused_record_layout(self):
         ps = gen_uniform_gap_partition(16, 1, 5, seed=1, precision="single")

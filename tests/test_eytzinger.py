@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from fastsearch.errors import OutOfDomain
 from fastsearch.eytzinger import (
     build_layout,
-    eytzinger_search,
     eytzinger_seq,
     in_order,
     tree_depth,
@@ -66,13 +64,8 @@ class TestSearch:
     def test_examples(self):
         p = validate_partition([0.0, 1.0, 2.0])
         lay = build_layout(p)
-        assert eytzinger_search(lay, 1.5) == 1
-        assert eytzinger_search(lay, 0.0) == 0
-
-    def test_out_of_domain(self):
-        lay = build_layout(validate_partition([0.0, 1.0, 2.0]))
-        with pytest.raises(OutOfDomain):
-            eytzinger_search(lay, 2.0)
+        assert eytzinger_seq(lay.tree, lay.L, 1.5) == 1
+        assert eytzinger_seq(lay.tree, lay.L, 0.0) == 0
 
     @pytest.mark.parametrize("precision", ["single", "double"])
     def test_exhaustive_oracle_sweep(self, precision):
@@ -80,7 +73,7 @@ class TestSearch:
             p = gen_uniform_gap_partition(size, 1, 5, seed=size, precision=precision)
             lay = build_layout(p)
             for z in boundary_probes(p):
-                assert eytzinger_search(lay, z) == linear_scan_oracle(p, z), (size, z)
+                assert eytzinger_seq(lay.tree, lay.L, z) == linear_scan_oracle(p, z), (size, z)
 
     @pytest.mark.parametrize("size", [2, 3, 9, 16, 33, 255])
     def test_exactly_L_comparisons(self, size):
