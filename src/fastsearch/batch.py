@@ -9,6 +9,13 @@ lane width d only determines how queries are grouped, never what any
 lane computes, so results are bit-identical for every d; the final
 ``M mod d`` queries always go through the plain scalar kernel.
 
+The lanes run in fixed blocks of ``_BLOCK`` queries.  Each kernel gives
+one per-block step that writes its answers straight into its slice of
+the output and keeps every intermediate in block-sized scratch buffers,
+allocated once per call.  A batch's temporary memory is therefore a few
+hundred KB whatever its size, stays in cache between steps, and never
+depends on whether the allocator hands out fresh pages.
+
 The classical search is the one exception: its loop exit depends on the
 data, so its batch form is simply the scalar kernel applied per query,
 whatever d says.
@@ -64,9 +71,73 @@ def _compile_kernel(lines, **bound) -> Callable:
     return namespace.pop("kernel")
 
 
+#: Queries per lane block, chosen by a sweep over 2**12 .. 2**16 on the
+#: benchmark's three workload shapes (table in CHANGES.md).  The direct
+#: lanes ran within a few percent of each other from 2**13 up; the
+#: 21-level eytzinger lanes were slowest at 2**12, where per-block call
+#: overhead shows, and at 2**16.
+_BLOCK = 1 << 14
+
+
+def _blocked(step: Callable, *scratch) -> Callable:
+    """The lane form of a kernel: ``step`` run over blocks of _BLOCK queries.
+
+    ``step(z, out, *bufs)`` resolves one block of queries ``z``, writing
+    the answers into ``out`` and keeping every intermediate in ``bufs``:
+    one block-sized buffer per dtype in ``scratch``, allocated once per
+    call.  Memory use therefore scales with the block, not the batch.
+    The returned ``lanes(z, out=None)`` fills and returns ``out`` (a new
+    int64 array when omitted).
+    """
+
+    def lanes(z, out=None):
+        m = len(z)
+        if out is None:
+            out = np.empty(m, dtype=np.int64)
+        bufs = [np.empty(min(m, _BLOCK), dtype=dt) for dt in scratch]
+        for a in range(0, m, _BLOCK):
+            b = min(a + _BLOCK, m)
+            step(z[a:b], out[a:b], *(buf[: b - a] for buf in bufs))
+        return out
+
+    return lanes
+
+
+def _take(table: np.ndarray, at: np.ndarray, out: np.ndarray) -> None:
+    """out[:] = table[at], gathered straight into ``out``.
+
+    take buffers its output in the default (raising) mode; clip mode
+    writes directly.  Clamping changes nothing where every index is in
+    range, and bitset1 and bitset3 rely on it to read X[min(r, N)].
+    """
+    np.take(table, at, out=out, mode="clip")
+
+
+def _add_where(i, hit, k, tmp) -> None:
+    """i[hit] += k, as an add of ``hit * k`` computed in ``tmp``.
+
+    This is the lanes' conditional assignment i = where(hit, i + k, i);
+    copyto with a where-mask costs several times as much per query.
+    """
+    np.multiply(hit, k, out=tmp)
+    np.add(i, tmp, out=i)
+
+
+def _bucket(z, f, j, h, x0) -> None:
+    """j[:] = int(h * (z - x0)), computed in z's precision in ``f``."""
+    np.subtract(z, x0, out=f)
+    np.multiply(f, h, out=f)
+    j[:] = f
+
+
 @dataclass(frozen=True)
 class PreparedKernel:
-    """A search structure plus its scalar and lock-step entry points."""
+    """A search structure plus its scalar and lock-step entry points.
+
+    ``scalar(z)`` answers one query; ``lanes(z, out=None)`` answers an
+    in-domain array of queries in the partition's dtype, block by block,
+    and returns ``out`` (None for ``classic``, which has no lane form).
+    """
 
     algorithm: str
     partition: SortedPartition
@@ -100,17 +171,18 @@ def _build_bitset1(p: SortedPartition, qbits: int):
         k >>= 1
     lines.append("return i")
 
-    def lanes(z, _xs=p.values, _n=n, _p=probe):
-        i = np.zeros(len(z), dtype=np.int64)
+    def step(z, i, r, v, hit, within, _xs=p.values, _n=n, _p=probe):
+        i[:] = 0
         k = _p
         while k:
-            r = i | k
-            within = r < _n
-            take = within & (z >= _xs[np.minimum(r, _n)])
-            i = np.where(take, r, i)
+            np.less(i, _n - k, out=within)  # i | k < n
+            _take(_xs[k:], i, v)  # X[min(i | k, n)]
+            np.greater_equal(z, v, out=hit)
+            np.logical_and(hit, within, out=hit)
+            _add_where(i, hit, k, r)  # i | k, bit k being clear
             k >>= 1
-        return i
 
+    lanes = _blocked(step, np.int64, p.values.dtype, bool, bool)
     return probe, _compile_kernel(lines, xs=p.values.tolist()), lanes
 
 
@@ -127,15 +199,16 @@ def _build_bitset2(p: SortedPartition, qbits: int):
         k >>= 1
     lines.append("return i")
 
-    def lanes(z, _xs=pp.padded, _p=pp.probe):
-        i = np.zeros(len(z), dtype=np.int64)
+    def step(z, i, r, v, hit, _xs=pp.padded, _p=pp.probe):
+        i[:] = 0
         k = _p
         while k:
-            r = i | k
-            i = np.where(z >= _xs[r], r, i)
+            _take(_xs[k:], i, v)  # X[i | k]
+            np.greater_equal(z, v, out=hit)
+            _add_where(i, hit, k, r)  # i | k, bit k being clear
             k >>= 1
-        return i
 
+    lanes = _blocked(step, np.int64, pp.padded.dtype, bool)
     return pp, _compile_kernel(lines, xs=pp.padded.tolist()), lanes
 
 
@@ -154,16 +227,16 @@ def _build_bitset3(p: SortedPartition, qbits: int):
         k >>= 1
     lines.append("return i")
 
-    def lanes(z, _xs=p.values, _n=n, _p=probe):
-        i = np.zeros(len(z), dtype=np.int64)
+    def step(z, i, r, v, hit, _xs=p.values, _p=probe):
+        i[:] = 0
         k = _p
         while k:
-            r = i | k
-            take = z >= _xs[np.minimum(r, _n)]
-            i = np.where(take, r, i)
+            _take(_xs[k:], i, v)  # X[min(i | k, n)]
+            np.greater_equal(z, v, out=hit)
+            _add_where(i, hit, k, r)  # i | k, bit k being clear
             k >>= 1
-        return i
 
+    lanes = _blocked(step, np.int64, p.values.dtype, bool)
     return probe, _compile_kernel(lines, xs=p.values.tolist()), lanes
 
 
@@ -180,18 +253,20 @@ def _build_offset(p: SortedPartition, qbits: int):
         s -= half
     lines.append("return i")
 
-    def lanes(z, _xs=p.values, _c=c):
+    def step(z, i, f, v, hit, _xs=p.values, _c=c):
         # The range size is data-independent, so it stays a plain int
         # shared by every lane; only the start index is per-lane state.
-        i = np.where(z >= _xs[_c.F], _c.F, 0).astype(np.int64)
+        np.greater_equal(z, _xs[_c.F], out=hit)
+        np.multiply(hit, _c.F, out=i)
         s = _c.S
         for _ in range(_c.J):
             half = s >> 1
-            f = i + half
-            i = np.where(z >= _xs[f], f, i)
+            _take(_xs[half:], i, v)  # X[i + half]
+            np.greater_equal(z, v, out=hit)
+            _add_where(i, hit, half, f)
             s -= half
-        return i
 
+    lanes = _blocked(step, np.int64, p.values.dtype, bool)
     return c, _compile_kernel(lines, xs=p.values.tolist()), lanes
 
 
@@ -204,12 +279,18 @@ def _build_eytzinger(p: SortedPartition, qbits: int):
         lines.append("p = p + p + 1 + (z >= xs[p])")
     lines.append(f"return p - {1 << lay.L}")
 
-    def lanes(z, _t=lay.tree, _L=lay.L):
-        k = np.ones(len(z), dtype=np.int64)
-        for _ in range(_L):
-            k = 2 * k + (z >= _t[k - 1])
-        return k - (1 << _L) - 1
+    def step(z, u, v, hit, _t=lay.tree, _L=lay.L):
+        # u is the slot's offset within its level: level l starts at slot
+        # 2**l - 1, and the children of offset u are offsets 2u and 2u + 1.
+        u[:] = 0
+        for level in range(_L):
+            _take(_t[(1 << level) - 1 :], u, v)
+            np.greater_equal(z, v, out=hit)
+            np.add(u, u, out=u)
+            np.add(u, hit, out=u)
+        np.subtract(u, 1, out=u)  # the leaf offset counts the knots <= z
 
+    lanes = _blocked(step, lay.tree.dtype, bool)
     return lay, _compile_kernel(lines, xs=lay.tree.tolist()), lanes
 
 
@@ -219,6 +300,12 @@ def _direct_scalar(idx: direct.DirectIndex, xpad: np.ndarray) -> Callable:
     The bucket is computed in the index's own precision: on Python floats
     for double (binary64, identical to the lanes bit for bit), and on
     genuine float32 numpy scalars for single.
+
+    K and the knots are read through memoryviews of the index's own
+    arrays, whose items come out as Python ints and floats.  Unlike
+    ``tolist()`` copies, which box every entry in its own object, they
+    add no memory and keep a random lookup to one compact table row: at
+    N = 2**16 the kernel runs about 1.5x as fast, at 2**20 about 1.9x.
     """
     if idx.precision == "single":
         bucket, h, x0 = "int(h * (f32(z) - x0))", idx.h, idx.x0
@@ -227,7 +314,12 @@ def _direct_scalar(idx: direct.DirectIndex, xpad: np.ndarray) -> Callable:
     hits = "".join(f" - (z < xs[t + {m}])" for m in range(1, idx.q))
     lines = [f"t = k[{bucket}]", "return t - (z < xs[t])" + hits]
     return _compile_kernel(
-        lines, k=idx.k.tolist(), xs=xpad.tolist(), h=h, x0=x0, f32=np.float32
+        lines,
+        k=memoryview(idx.k),
+        xs=memoryview(xpad),
+        h=h,
+        x0=x0,
+        f32=np.float32,
     )
 
 
@@ -238,13 +330,21 @@ def _build_direct(p: SortedPartition, qbits: int, q: int):
     idx, _ = direct.build(p, qbits=qbits, q=q)
     xpad = np.concatenate([idx.left_pad, p.values]) if q > 1 else p.values
 
-    def lanes(z, _h=idx.h, _x0=idx.x0, _k=idx.k, _xp=xpad, _q=q):
-        t = _k[(_h * (z - _x0)).astype(np.int64)].astype(np.int64)
-        i = t - (z < _xp[t])
-        for m in range(1, _q):
-            i -= z < _xp[t + m]
-        return i
+    def step(z, i, f, j, t, v, hit, _h=idx.h, _x0=idx.x0, _k=idx.k, _xp=xpad, _q=q):
+        _bucket(z, f, j, _h, _x0)
+        _take(_k, j, t)
+        j[:] = t
+        _take(_xp, j, v)
+        np.less(z, v, out=hit)
+        np.subtract(j, hit, out=i)
+        for _ in range(1, _q):
+            np.add(j, 1, out=j)
+            _take(_xp, j, v)
+            np.less(z, v, out=hit)
+            np.subtract(i, hit, out=i)
 
+    dt = p.values.dtype
+    lanes = _blocked(step, dt, np.int64, idx.k.dtype, dt, bool)
     return idx, _direct_scalar(idx, xpad), lanes
 
 
@@ -256,10 +356,14 @@ def _build_direct_cache(p: SortedPartition, qbits: int):
     """
     idx, _ = direct.build(p, qbits=qbits, fused=True)
 
-    def lanes(z, _h=idx.h, _x0=idx.x0, _f=idx.fused):
-        rec = _f[(_h * (z - _x0)).astype(np.int64)]
-        return rec["idx"].astype(np.int64) - (z < rec["val"])
+    def step(z, i, f, j, rec, hit, _h=idx.h, _x0=idx.x0, _f=idx.fused):
+        _bucket(z, f, j, _h, _x0)
+        _take(_f, j, rec)
+        np.less(z, rec["val"], out=hit)
+        np.subtract(rec["idx"], hit, out=i)
 
+    dt = p.values.dtype
+    lanes = _blocked(step, dt, np.int64, idx.fused.dtype, bool)
     return idx, _direct_scalar(idx, p.values), lanes
 
 
@@ -324,10 +428,11 @@ def run_batch(
     ``queries`` is a 1-D array, sequence or QueryBatch.  It is converted
     once to the partition's dtype, and the answers are for those rounded
     values, independent of the lane width d and the thread count.
-    ``out``, when given, must hold one entry per query; otherwise a new
-    int64 array is returned.  Raises ValueError for d < 1, input that is
-    not 1-D or a mis-sized ``out``, and OutOfDomain identifying the first
-    converted query outside [X_0, X_N); nothing is written in those cases.
+    ``out``, when given, must be an int64 array with one entry per query;
+    otherwise a new one is returned.  Raises ValueError for d < 1, input
+    that is not 1-D or a mis-sized or mis-typed ``out``, and OutOfDomain
+    identifying the first converted query outside [X_0, X_N); nothing is
+    written in those cases.
     """
     if d < 1:
         raise ValueError("lane width must be >= 1")
@@ -337,10 +442,11 @@ def run_batch(
     xs = prepared.partition.values
     z = z.astype(xs.dtype, copy=False)
     m = len(z)
-    if out is not None and out.shape != (m,):
-        raise ValueError("output array must hold exactly one entry per query")
-    bad = ~((z >= xs[0]) & (z < xs[-1]))  # also catches NaN
-    if bad.any():
+    if out is not None and (out.shape != (m,) or out.dtype != np.int64):
+        raise ValueError("output array must be int64 with one entry per query")
+    # min and max propagate NaN, which fails both comparisons.
+    if m and not (z.min() >= xs[0] and z.max() < xs[-1]):
+        bad = ~((z >= xs[0]) & (z < xs[-1]))
         raise OutOfDomain(position=int(np.argmax(bad)))
     if out is None:
         out = np.empty(m, dtype=np.int64)
@@ -352,7 +458,7 @@ def run_batch(
         if a >= b:
             return
         if b <= lane_stop:
-            out[a:b] = prepared.lanes(z[a:b])
+            prepared.lanes(z[a:b], out=out[a:b])
         else:
             scalar = prepared.scalar
             out[a:b] = [scalar(q) for q in z[a:b].tolist()]

@@ -26,9 +26,9 @@ bit for bit and searches behave identically.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
-from pathlib import Path
 
 import numpy as np
 
@@ -59,35 +59,47 @@ def save_index(idx: DirectIndex, path) -> int:
         h_bits,
         x0_bits,
     )
-    payload = np.ascontiguousarray(idx.k, dtype="<u4").tobytes()
+    payload = np.ascontiguousarray(idx.k, dtype="<u4")
     crc = struct.pack("<I", zlib.crc32(payload))
-    data = header + payload + crc
-    Path(path).write_bytes(data)
-    return len(data)
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(payload)  # straight from K's buffer, with no bytes copy
+        f.write(crc)
+    return len(header) + payload.nbytes + len(crc)
 
 
 def load_index(path) -> DirectIndex:
-    """Read an index back; fused records are not stored and come back empty."""
-    data = Path(path).read_bytes()
-    if len(data) < 8:
-        raise TruncatedFile(f"{path}: shorter than the magic header")
-    if data[:8] != MAGIC:
-        raise BadMagic(f"{path}: not an index file")
-    if len(data) < _HEADER.size:
-        raise TruncatedFile(f"{path}: incomplete header")
-    (_, version, prec_code, qbits, gap, _, n, r, h_bits, x0_bits) = _HEADER.unpack(
-        data[: _HEADER.size]
-    )
-    if version != VERSION:
-        raise VersionMismatch(f"{path}: format version {version}, expected {VERSION}")
-    if prec_code not in _PRECISION_NAME or qbits not in (32, 64) or gap < 1:
-        raise VersionMismatch(f"{path}: unrecognized header fields")
-    payload_len = (r + 1) * 4
-    end = _HEADER.size + payload_len
-    if len(data) < end + 4:
+    """Read an index back; fused records are not stored and come back empty.
+
+    The K payload is read straight into the returned array, so loading
+    allocates no file-sized buffer besides K itself.
+    """
+    with open(path, "rb") as f:
+        head = f.read(_HEADER.size)
+        if len(head) < 8:
+            raise TruncatedFile(f"{path}: shorter than the magic header")
+        if head[:8] != MAGIC:
+            raise BadMagic(f"{path}: not an index file")
+        if len(head) < _HEADER.size:
+            raise TruncatedFile(f"{path}: incomplete header")
+        (_, version, prec_code, qbits, gap, _, n, r, h_bits, x0_bits) = (
+            _HEADER.unpack(head)
+        )
+        if version != VERSION:
+            raise VersionMismatch(
+                f"{path}: format version {version}, expected {VERSION}"
+            )
+        if prec_code not in _PRECISION_NAME or qbits not in (32, 64) or gap < 1:
+            raise VersionMismatch(f"{path}: unrecognized header fields")
+        payload_len = (r + 1) * 4
+        if os.fstat(f.fileno()).st_size < _HEADER.size + payload_len + 4:
+            raise TruncatedFile(f"{path}: payload or checksum missing")
+        payload = np.empty(r + 1, dtype="<u4")
+        got = f.readinto(payload)
+        crc = f.read(4)
+    if got < payload_len or len(crc) < 4:
         raise TruncatedFile(f"{path}: payload or checksum missing")
-    payload = data[_HEADER.size : end]
-    (crc_stored,) = struct.unpack("<I", data[end : end + 4])
+    (crc_stored,) = struct.unpack("<I", crc)
     if zlib.crc32(payload) != crc_stored:
         raise ChecksumMismatch(f"{path}: K payload corrupted")
 
@@ -95,7 +107,7 @@ def load_index(path) -> DirectIndex:
     dtype = np.float32 if precision == "single" else np.float64
     (h64,) = struct.unpack("<d", struct.pack("<Q", h_bits))
     (x064,) = struct.unpack("<d", struct.pack("<Q", x0_bits))
-    k = np.frombuffer(payload, dtype="<u4").astype(K_DTYPE)
+    k = payload.astype(K_DTYPE, copy=False)
     k.setflags(write=False)
     left_pad = np.full(gap - 1, dtype(x064), dtype=dtype)
     left_pad.setflags(write=False)

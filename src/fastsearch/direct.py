@@ -113,7 +113,8 @@ def feasibility_estimate(
     performs the exact checks; this estimate only predicts them.
     """
     xs = p.values.astype(np.float64)
-    ratio = float((xs[q:] - xs[:-q]).min() / (xs[-1] - xs[0]))
+    basis = min(q, p.n_intervals)  # as in compute_h_r: q > N is vacuous
+    ratio = float((xs[basis:] - xs[:-basis]).min() / (xs[-1] - xs[0]))
     threshold = feasibility_threshold(p.precision, qbits)
     return FeasibilityReport(
         feasible=ratio > threshold,
@@ -131,7 +132,8 @@ def closed_form_h_r(p: SortedPartition, q: int = 1) -> tuple[float, int]:
     """
     xs = p.values.astype(np.float64)
     span = float(xs[-1] - xs[0])
-    r = 1 + ceil(span / float((xs[q:] - xs[:-q]).min()))
+    basis = min(q, p.n_intervals)  # as in compute_h_r: q > N is vacuous
+    r = 1 + ceil(span / float((xs[basis:] - xs[:-basis]).min()))
     return r / span, r
 
 

@@ -146,7 +146,7 @@ def test_c06_throughput_ordering():
         d_widths=[1],
         queries=20_000,
         seed=SEED,
-        repetitions=5,
+        repetitions=15,
         min_time=0.05,
     )
     rate = {(r.algorithm, r.size): r.throughput_msps for r in rep.rows}

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -77,12 +78,34 @@ class TestBatchContract:
             run_batch(prep, bad, d=4)
         assert exc.value.position == 5
 
+    @pytest.mark.parametrize("position", [0, 7])
+    @pytest.mark.parametrize("value", ["nan", "x_n"])
+    @pytest.mark.parametrize("algorithm", ["bitset3", "direct"])
+    def test_bad_query_at_either_end_rejected(self, workload, algorithm, value, position):
+        """The first and last query reach the min/max domain check too."""
+        p, z, _ = workload
+        prep = prepare(algorithm, p)
+        bad = z[:8].copy()
+        bad[position] = np.nan if value == "nan" else p.values[-1]
+        out = np.full(8, -1, dtype=np.int64)
+        with pytest.raises(OutOfDomain) as exc:
+            run_batch(prep, bad, d=4, out=out)
+        assert exc.value.position == position
+        assert (out == -1).all()
+
+    @pytest.mark.parametrize("d", [1, 8])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_empty_batch(self, workload, algorithm, d):
+        p, z, _ = workload
+        got = run_batch(prepare(algorithm, p), z[:0], d=d)
+        assert got.dtype == np.int64 and got.shape == (0,)
+
     def test_output_capacity_checked(self, workload):
         p, z, _ = workload
         prep = prepare("offset", p)
-        out = np.empty(len(z) - 1, dtype=np.int64)
-        with pytest.raises(ValueError):
-            run_batch(prep, z, d=1, out=out)
+        for out in (np.empty(len(z) - 1, dtype=np.int64), np.empty(len(z), dtype=np.int32)):
+            with pytest.raises(ValueError):
+                run_batch(prep, z, d=1, out=out)
 
     def test_query_batch_type_accepted(self):
         p = gen_uniform_gap_partition(64, 1, 5, seed=5)
@@ -217,6 +240,69 @@ def test_dropped_kernel_is_freed_without_gc(algorithm):
         assert scalar() is None
     finally:
         gc.enable()
+
+
+class TestBlocks:
+    """Lanes run over fixed blocks of batch._BLOCK queries."""
+
+    @pytest.fixture(scope="class")
+    def blocked_workload(self):
+        p = gen_uniform_gap_partition(255, 1, 5, seed=77, precision="single")
+        z = random_queries(p, 3 * batch._BLOCK + 7, seed=78)
+        return p, z, linear_scan_oracle_batch(p, z)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("d", [1, 8])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_block_edges_match_oracle(self, blocked_workload, algorithm, d, threads, monkeypatch):
+        # Lift the CPU-count cap so that three threads really split the batch.
+        monkeypatch.setattr(batch.os, "cpu_count", lambda: 8)
+        p, z, want = blocked_workload
+        prep = prepare(algorithm, p)
+        block = batch._BLOCK
+        for m in (block - 1, block, block + 1, 3 * block + 7):
+            out = np.full(m, -1, dtype=np.int64)  # an unwritten entry shows
+            run_batch(prep, z[:m], d=d, threads=threads, out=out)
+            assert np.array_equal(out, want[:m]), m
+
+    @pytest.mark.parametrize("algorithm", LANE_KERNELS)
+    def test_temporaries_scale_with_block_not_batch(self, algorithm):
+        """A 2**18-query batch into a caller's ``out`` allocates under 1 MB
+        (whole-batch int64 temporaries would take 2 MB each)."""
+        p = gen_uniform_gap_partition(4095, 1, 5, seed=79)
+        z = random_queries(p, 1 << 18, seed=80)
+        prep = prepare(algorithm, p)
+        out = np.empty(len(z), dtype=np.int64)
+        tracemalloc.start()
+        try:
+            run_batch(prep, z, d=8, threads=1, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert np.array_equal(out, linear_scan_oracle_batch(p, z))
+
+
+class TestDirectScalarTables:
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("algorithm", ["direct", "direct-gap2", "direct-cache"])
+    def test_scalar_reads_index_in_place(self, algorithm, precision):
+        """A prepared direct kernel holds its index arrays plus at most one
+        padded copy of the knots; per-entry Python lists of K and the knots
+        took 3-16 times those arrays' bytes."""
+        p = gen_uniform_gap_partition(1 << 14, 1, 5, seed=81, precision=precision)
+        tracemalloc.start()
+        try:
+            prep = prepare(algorithm, p)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        idx = prep.structure
+        arrays = idx.k.nbytes + (0 if idx.fused is None else idx.fused.nbytes)
+        assert held < arrays + p.values.nbytes + (1 << 16), (held, arrays)
+        z = random_queries(p, 2000, seed=82)
+        want = linear_scan_oracle_batch(p, z).tolist()
+        assert [prep.scalar(v) for v in z.tolist()] == want
 
 
 class TestEquivalenceMatrix:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,25 @@ class TestPersistence:
         assert [direct_search(back, p, v) for v in z.tolist()] == [
             direct_search(idx, p, v) for v in z.tolist()
         ]
+
+    def test_round_trip_copies_no_payload(self, tmp_path):
+        """save_index writes K from its own buffer and load_index reads the
+        payload straight into the returned K, so neither makes a file-sized
+        copy (which made each large buffer fault in fresh pages)."""
+        p, idx = self.make_index(size=1 << 14)
+        path = tmp_path / "big.idx"
+        tracemalloc.start()
+        try:
+            save_index(idx, path)
+            saved = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = load_index(path)
+            loaded = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert saved < idx.k.nbytes // 4, (saved, idx.k.nbytes)
+        assert loaded < idx.k.nbytes * 5 // 4, (loaded, idx.k.nbytes)
+        assert np.array_equal(back.k, idx.k)
 
     def test_corrupt_payload_byte(self, tmp_path):
         p, idx = self.make_index()

@@ -133,6 +133,10 @@ class TestClosedForm:
         assert r == 7
         assert h == pytest.approx(6.36, abs=0.01)
 
+    def test_gap_wider_than_interval_count(self):
+        p = validate_partition([0.0, 2.5])
+        assert closed_form_h_r(p, q=2) == closed_form_h_r(p, q=1) == (0.8, 2)
+
 
 class TestBuildIndex:
     def test_worked_k_table(self):
@@ -291,6 +295,13 @@ class TestFeasibility:
         p = validate_partition(np.array([-1e9, 0.0, 1.0], dtype=np.float32))
         assert not feasibility_estimate(p).feasible
         assert feasibility_estimate(p, q=2).feasible
+
+    def test_gap_wider_than_interval_count(self):
+        """q > N uses the widest stride, as compute_h_r does."""
+        p = validate_partition([0.0, 2.5])
+        rep = feasibility_estimate(p, q=2)
+        assert rep == feasibility_estimate(p, q=1)
+        assert rep.feasible and rep.ratio == 1.0
 
 
 class TestMemoryCost:
