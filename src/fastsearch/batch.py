@@ -291,7 +291,7 @@ def _build_eytzinger(p: SortedPartition, qbits: int):
         np.subtract(u, 1, out=u)  # the leaf offset counts the knots <= z
 
     lanes = _blocked(step, lay.tree.dtype, bool)
-    return lay, _compile_kernel(lines, xs=lay.tree.tolist()), lanes
+    return lay, _compile_kernel(lines, xs=memoryview(lay.tree)), lanes
 
 
 def _direct_scalar(idx: direct.DirectIndex, xpad: np.ndarray) -> Callable:
@@ -306,6 +306,12 @@ def _direct_scalar(idx: direct.DirectIndex, xpad: np.ndarray) -> Callable:
     ``tolist()`` copies, which box every entry in its own object, they
     add no memory and keep a random lookup to one compact table row: at
     N = 2**16 the kernel runs about 1.5x as fast, at 2**20 about 1.9x.
+    The eytzinger scalar reads its tree the same way, which saves a
+    boxed copy of all 2**L slots at set-up; per query it is slower than
+    a list at N = 2**12, even at 2**16 and faster at 2**20.  The other
+    comparison scalars keep ``tolist()`` copies of their knots, because
+    a memoryview slows the small-N scalar speeds that the acceptance
+    suite compares (ROADMAP item 2).
     """
     if idx.precision == "single":
         bucket, h, x0 = "int(h * (f32(z) - x0))", idx.h, idx.x0
@@ -399,7 +405,12 @@ def resolve_threads(threads: int | None) -> int:
             raise ValueError("thread count must be >= 1")
         return threads
     env = os.environ.get(THREADS_ENV)
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
 
 
 def _spans(total: int, parts: int, granularity: int):

@@ -2,9 +2,11 @@
 
 The sorted knots, right-padded with copies of X_N, are rearranged into the
 breadth-first order of a complete binary tree of 2**L - 1 slots, where L is
-the smallest depth whose full tree holds all N+1 knots.  A descent then
-touches one slot per level -- exactly L comparisons for every query, with
-no data-dependent exit.
+the smallest depth whose full tree holds all N+1 knots.  Each level of the
+tree is one strided slice of the knots, so construction is one slice copy
+per level and allocates only the tree.  A descent then touches one slot
+per level -- exactly L comparisons for every query, with no data-dependent
+exit.
 
 Index recovery: starting from k = 1 and updating k <- 2k + [z >= node],
 the final k lies in [2**L, 2**(L+1) - 1] and k - 2**L equals the number of
@@ -43,22 +45,23 @@ def tree_depth(n: int) -> int:
 
 
 def build_layout(p: SortedPartition) -> EytzingerLayout:
-    """Construct the padded heap-order layout in O(2**L)."""
-    n = p.n_intervals
-    depth = tree_depth(n)
-    size = (1 << depth) - 1
-    padded = np.full(size, p.values[-1], dtype=p.values.dtype)
-    padded[: n + 1] = p.values
+    """Construct the padded heap-order layout, one strided copy per level.
 
-    # In-order rank of 1-based heap slot q at depth dq = floor(log2 q):
-    # rank = (q - 2**dq) * 2**(depth - dq) + 2**(depth - dq - 1) - 1.
-    slots = np.arange(1, size + 1, dtype=np.int64)
-    levels = np.frexp(slots.astype(np.float64))[1] - 1
-    stride = np.int64(1) << (depth - levels)
-    rank = (slots - (np.int64(1) << levels)) * stride + (stride >> 1) - 1
-
-    tree = np.empty(size, dtype=p.values.dtype)
-    tree[:] = padded[rank]
+    Level l holds slots 2**l - 1 .. 2**(l+1) - 2, and its slot at offset u
+    has in-order rank u * 2**(L-l) + 2**(L-l-1) - 1.  A level is therefore
+    the strided slice ``X[2**(L-l-1) - 1 :: 2**(L-l)]`` of the knots,
+    followed by copies of X_N for the ranks past N.  The only allocation
+    is the tree itself.
+    """
+    xs = p.values
+    depth = tree_depth(p.n_intervals)
+    tree = np.empty((1 << depth) - 1, dtype=xs.dtype)
+    for level in range(depth):
+        stride = 1 << (depth - level)
+        row = tree[(1 << level) - 1 : (1 << (level + 1)) - 1]
+        knots = xs[(stride >> 1) - 1 :: stride]
+        row[: len(knots)] = knots
+        row[len(knots) :] = xs[-1]
     tree.setflags(write=False)
     return EytzingerLayout(tree=tree, L=depth, source=p)
 

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fastsearch import batch
+from fastsearch import batch, eytzinger
 from fastsearch.batch import ALGORITHMS, prepare, resolve_threads, run_batch
 from fastsearch.errors import OutOfDomain
 from fastsearch.partition import (
@@ -154,6 +154,12 @@ class TestThreads:
     def test_invalid_thread_count(self):
         with pytest.raises(ValueError):
             resolve_threads(0)
+
+    @pytest.mark.parametrize("value", ["many", "2.5", "0x4"])
+    def test_non_integer_env_names_variable(self, value, monkeypatch):
+        monkeypatch.setenv("FASTSEARCH_THREADS", value)
+        with pytest.raises(ValueError, match=f"FASTSEARCH_THREADS.*{value!r}"):
+            resolve_threads(None)
 
     def test_worker_count_capped_at_cpu_count(self, workload, monkeypatch):
         """A huge thread request never asks the executor for more workers
@@ -303,6 +309,37 @@ class TestDirectScalarTables:
         z = random_queries(p, 2000, seed=82)
         want = linear_scan_oracle_batch(p, z).tolist()
         assert [prep.scalar(v) for v in z.tolist()] == want
+
+
+class TestEytzingerTables:
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_scalar_reads_tree_in_place(self, precision):
+        """A prepared eytzinger kernel holds its tree and little else; a
+        per-slot Python list of the tree took 5-9 times its bytes."""
+        p = gen_uniform_gap_partition(1 << 14, 1, 5, seed=83, precision=precision)
+        tracemalloc.start()
+        try:
+            prep = prepare("eytzinger", p)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        tree = prep.structure.tree
+        assert held < tree.nbytes + (1 << 16), (held, tree.nbytes)
+        z = random_queries(p, 2000, seed=84)
+        want = linear_scan_oracle_batch(p, z).tolist()
+        assert [prep.scalar(v) for v in z.tolist()] == want
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_layout_allocates_only_the_tree(self, precision):
+        """Per-slot rank arrays peaked at 6.5-10 times the tree's bytes."""
+        p = gen_uniform_gap_partition(1 << 16, 1, 5, seed=85, precision=precision)
+        tracemalloc.start()
+        try:
+            tree = eytzinger.build_layout(p).tree
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * tree.nbytes, (peak, tree.nbytes)
 
 
 class TestEquivalenceMatrix:

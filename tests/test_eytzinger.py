@@ -60,6 +60,49 @@ class TestLayout:
             assert depth == 1 or 2 ** (depth - 1) - 1 < n + 1
 
 
+def rank_order_tree(p):
+    """The heap-order tree gathered slot by slot through each slot's
+    in-order rank, kept as an independent reference for build_layout.
+
+    1-based slot q at level l = floor(log2 q) has in-order rank
+    (q - 2**l) * 2**(L - l) + 2**(L - l - 1) - 1 in the padded knots.
+    """
+    depth = tree_depth(p.n_intervals)
+    size = (1 << depth) - 1
+    padded = np.full(size, p.values[-1], dtype=p.values.dtype)
+    padded[: p.n_intervals + 1] = p.values
+    slots = np.arange(1, size + 1, dtype=np.int64)
+    levels = np.frexp(slots.astype(np.float64))[1] - 1
+    stride = np.int64(1) << (depth - levels)
+    rank = (slots - (np.int64(1) << levels)) * stride + (stride >> 1) - 1
+    return padded[rank]
+
+
+EDGE_SIZES = sorted(
+    set(range(1, 71))
+    | {n for k in range(1, 13) for n in range((1 << k) - 2, (1 << k) + 2) if n >= 1}
+)
+
+
+class TestLevelCopies:
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_matches_rank_order_bit_for_bit(self, precision):
+        """N = 1..70 and every N from 2**k - 2 to 2**k + 1 for k <= 12,
+        where the tree gains a level or fills up exactly."""
+        for n in EDGE_SIZES:
+            p = gen_uniform_gap_partition(n + 1, 1, 5, seed=n, precision=precision)
+            tree = build_layout(p).tree
+            want = rank_order_tree(p)
+            assert tree.dtype == want.dtype, n
+            assert tree.tobytes() == want.tobytes(), n
+
+    def test_tree_is_read_only(self):
+        lay = build_layout(gen_uniform_gap_partition(100, 1, 5, seed=5))
+        assert not lay.tree.flags.writeable
+        with pytest.raises(ValueError):
+            lay.tree[0] = 0.0
+
+
 class TestSearch:
     def test_examples(self):
         p = validate_partition([0.0, 1.0, 2.0])
