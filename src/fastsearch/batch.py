@@ -30,9 +30,11 @@ answers are those for its queries rounded to the partition's precision.
 
 Batches may additionally be split across worker threads (contiguous
 spans, outputs written disjointly, so out[j] is always query j's
-answer).  The ``FASTSEARCH_THREADS`` environment variable supplies the
-thread count when none is passed explicitly; either way the count is
-capped at the machine's CPU count.
+answer), but only into spans of at least one lane block: a batch too
+small for two such spans runs inline, with no thread pool.  The
+``FASTSEARCH_THREADS`` environment variable supplies the thread count
+when none is passed explicitly; either way the count is capped at the
+machine's CPU count.
 """
 
 from __future__ import annotations
@@ -294,12 +296,21 @@ def _build_eytzinger(p: SortedPartition, qbits: int):
     return lay, _compile_kernel(lines, xs=memoryview(lay.tree)), lanes
 
 
-def _direct_scalar(idx: direct.DirectIndex, xpad: np.ndarray) -> Callable:
-    """Gap-q scalar: one bucket read, then q comparisons; xpad[w + q - 1] is X_w.
+def _scalar_bucket(idx: direct.DirectIndex):
+    """The direct scalars' bucket expression, with the h and x0 it binds.
 
     The bucket is computed in the index's own precision: on Python floats
     for double (binary64, identical to the lanes bit for bit), and on
     genuine float32 numpy scalars for single.
+    """
+    if idx.precision == "single":
+        return "int(h * (f32(z) - x0))", idx.h, idx.x0
+    return "int(h * (z - x0))", float(idx.h), float(idx.x0)
+
+
+def _direct_scalar(idx: direct.DirectIndex, xs: np.ndarray) -> Callable:
+    """Gap-q scalar: one bucket read, then q comparisons against X_t ..
+    X_{t-q+1}, each index below 0 clamped to X_0.
 
     K and the knots are read through memoryviews of the index's own
     arrays, whose items come out as Python ints and floats.  Unlike
@@ -313,16 +324,14 @@ def _direct_scalar(idx: direct.DirectIndex, xpad: np.ndarray) -> Callable:
     a memoryview slows the small-N scalar speeds that the acceptance
     suite compares (ROADMAP item 2).
     """
-    if idx.precision == "single":
-        bucket, h, x0 = "int(h * (f32(z) - x0))", idx.h, idx.x0
-    else:
-        bucket, h, x0 = "int(h * (z - x0))", float(idx.h), float(idx.x0)
-    hits = "".join(f" - (z < xs[t + {m}])" for m in range(1, idx.q))
+    bucket, h, x0 = _scalar_bucket(idx)
+    # z < X_0 never holds, so a read clamped to X_0 never counts.
+    hits = "".join(f" - (z < xs[t - {m} if t > {m} else 0])" for m in range(1, idx.q))
     lines = [f"t = k[{bucket}]", "return t - (z < xs[t])" + hits]
     return _compile_kernel(
         lines,
         k=memoryview(idx.k),
-        xs=memoryview(xpad),
+        xs=memoryview(xs),
         h=h,
         x0=x0,
         f32=np.float32,
@@ -331,35 +340,53 @@ def _direct_scalar(idx: direct.DirectIndex, xpad: np.ndarray) -> Callable:
 
 def _build_direct(p: SortedPartition, qbits: int, q: int):
     """Gap-q direct kernel: the candidate t = K[f(z)] is corrected by q
-    comparisons against X_t .. X_{t-q+1}, read from the knots left-padded
-    with q - 1 copies of X_0 (which no in-domain query is below)."""
+    comparisons against X_t .. X_{t-q+1}, read from the knots in place.
+    The gathers clip an index below 0 to X_0, which no in-domain query is
+    below."""
     idx, _ = direct.build(p, qbits=qbits, q=q)
-    xpad = np.concatenate([idx.left_pad, p.values]) if q > 1 else p.values
 
-    def step(z, i, f, j, t, v, hit, _h=idx.h, _x0=idx.x0, _k=idx.k, _xp=xpad, _q=q):
+    def step(z, i, f, j, t, v, hit, _h=idx.h, _x0=idx.x0, _k=idx.k, _x=p.values, _q=q):
         _bucket(z, f, j, _h, _x0)
         _take(_k, j, t)
         j[:] = t
-        _take(_xp, j, v)
+        _take(_x, j, v)
         np.less(z, v, out=hit)
         np.subtract(j, hit, out=i)
         for _ in range(1, _q):
-            np.add(j, 1, out=j)
-            _take(_xp, j, v)
+            np.subtract(j, 1, out=j)
+            _take(_x, j, v)  # X[max(j, 0)]
             np.less(z, v, out=hit)
             np.subtract(i, hit, out=i)
 
     dt = p.values.dtype
     lanes = _blocked(step, dt, np.int64, idx.k.dtype, dt, bool)
-    return idx, _direct_scalar(idx, xpad), lanes
+    return idx, _direct_scalar(idx, p.values), lanes
+
+
+def _cache_scalar(idx: direct.DirectIndex) -> Callable:
+    """Gap-1 scalar over the fused records: the bucket's knot index and
+    value come from one record, read through uint32 and float memoryviews
+    of the records' own buffer, as the lanes read them."""
+    rec = idx.fused
+    vtype, offset = rec.dtype.fields["val"][:2]
+    # Record j's index is word k[j * ks]; its value is v[j * vs + vo].
+    ks = rec.itemsize // 4
+    vs, vo = rec.itemsize // vtype.itemsize, offset // vtype.itemsize
+    bucket, h, x0 = _scalar_bucket(idx)
+    lines = [f"j = {bucket}", f"return k[{ks} * j] - (z < v[{vs} * j + {vo}])"]
+    return _compile_kernel(
+        lines,
+        k=memoryview(rec.view(np.uint32)),
+        v=memoryview(rec.view(vtype)),
+        h=h,
+        x0=x0,
+        f32=np.float32,
+    )
 
 
 def _build_direct_cache(p: SortedPartition, qbits: int):
-    """Gap-1 lanes over fused records: index and knot value in one read.
-
-    The fused ``idx``/``val`` fields hold exactly K and X[K], so the scalar
-    is the gap-1 kernel reading K and X directly.
-    """
+    """Gap-1 kernel over fused records: index and knot value in one read,
+    by the lanes and by the scalar."""
     idx, _ = direct.build(p, qbits=qbits, fused=True)
 
     def step(z, i, f, j, rec, hit, _h=idx.h, _x0=idx.x0, _f=idx.fused):
@@ -370,7 +397,7 @@ def _build_direct_cache(p: SortedPartition, qbits: int):
 
     dt = p.values.dtype
     lanes = _blocked(step, dt, np.int64, idx.fused.dtype, bool)
-    return idx, _direct_scalar(idx, p.values), lanes
+    return idx, _cache_scalar(idx), lanes
 
 
 _BUILDERS = {
@@ -414,17 +441,14 @@ def resolve_threads(threads: int | None) -> int:
 
 
 def _spans(total: int, parts: int, granularity: int):
-    """Split [0, total) into <= parts contiguous spans at granularity bounds."""
-    units = total // granularity
-    parts = min(parts, units) or 1
-    base, extra = divmod(units, parts)
+    """Split [0, total), a multiple of granularity holding at least parts
+    of them, into parts contiguous spans at granularity bounds."""
+    base, extra = divmod(total // granularity, parts)
     start = 0
     for w in range(parts):
         stop = start + (base + (w < extra)) * granularity
         yield start, stop
         start = stop
-    if start < total:
-        yield start, total
 
 
 def run_batch(
@@ -464,6 +488,10 @@ def run_batch(
 
     nthreads = min(resolve_threads(threads), os.cpu_count() or 1)
     lane_stop = (m // d) * d if (prepared.lanes is not None and d > 1) else 0
+    # Threads split the lane part (or an all-scalar batch) at multiples of
+    # ``unit`` into spans of at least one lane block each.
+    total, unit = (lane_stop, d) if lane_stop else (m, 1)
+    parts = min(nthreads, total // unit // -(-_BLOCK // unit))
 
     def run_span(a: int, b: int):
         if a >= b:
@@ -474,17 +502,14 @@ def run_batch(
             scalar = prepared.scalar
             out[a:b] = [scalar(q) for q in z[a:b].tolist()]
 
-    if nthreads == 1:
+    if parts <= 1:
         run_span(0, lane_stop)
         run_span(lane_stop, m)
     else:
-        if lane_stop:
-            spans = list(_spans(lane_stop, nthreads, d))
-            if lane_stop < m:
-                spans.append((lane_stop, m))
-        else:
-            spans = list(_spans(m, nthreads, 1))
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
+        spans = list(_spans(total, parts, unit))
+        if total < m:
+            spans.append((total, m))
+        with ThreadPoolExecutor(max_workers=parts) as pool:
             for fut in [pool.submit(run_span, a, b) for a, b in spans]:
                 fut.result()
     return out

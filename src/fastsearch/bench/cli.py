@@ -174,7 +174,7 @@ def _build_index_parser() -> _Parser:
 
 
 def _summarize(idx) -> str:
-    k_bytes = idx.k.nbytes
+    k_bytes = idx.table.nbytes
     return (
         f"precision={idx.precision} gap={idx.q} qbits={idx.qbits} "
         f"n={idx.n} r={idx.r} h={float(idx.h)!r} x0={float(idx.x0)!r} "

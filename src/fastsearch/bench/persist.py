@@ -41,6 +41,9 @@ VERSION = 1
 _HEADER = struct.Struct("<8sHBBB3sQQQQ")
 _PRECISION_CODE = {"single": 0, "double": 1}
 _PRECISION_NAME = {0: "single", 1: "double"}
+#: K entries per write (4 MiB).  A fused index's K, the strided ``idx``
+#: field of its records, is copied one such chunk at a time.
+_WRITE_CHUNK = 1 << 20
 
 
 def save_index(idx: DirectIndex, path) -> int:
@@ -59,13 +62,17 @@ def save_index(idx: DirectIndex, path) -> int:
         h_bits,
         x0_bits,
     )
-    payload = np.ascontiguousarray(idx.k, dtype="<u4")
-    crc = struct.pack("<I", zlib.crc32(payload))
+    k = idx.table
+    crc = 0
     with open(path, "wb") as f:
         f.write(header)
-        f.write(payload)  # straight from K's buffer, with no bytes copy
-        f.write(crc)
-    return len(header) + payload.nbytes + len(crc)
+        # A contiguous K goes out straight from its own buffer.
+        for a in range(0, len(k), _WRITE_CHUNK):
+            part = np.ascontiguousarray(k[a : a + _WRITE_CHUNK], dtype="<u4")
+            crc = zlib.crc32(part, crc)
+            f.write(part)
+        f.write(struct.pack("<I", crc))
+    return len(header) + 4 * len(k) + 4
 
 
 def load_index(path) -> DirectIndex:
@@ -109,8 +116,6 @@ def load_index(path) -> DirectIndex:
     (x064,) = struct.unpack("<d", struct.pack("<Q", x0_bits))
     k = payload.astype(K_DTYPE, copy=False)
     k.setflags(write=False)
-    left_pad = np.full(gap - 1, dtype(x064), dtype=dtype)
-    left_pad.setflags(write=False)
     return DirectIndex(
         x0=dtype(x064),
         h=dtype(h64),
@@ -120,5 +125,4 @@ def load_index(path) -> DirectIndex:
         qbits=int(qbits),
         n=int(n),
         precision=precision,
-        left_pad=left_pad,
     )

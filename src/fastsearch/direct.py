@@ -24,6 +24,12 @@ doubling ulp-scale increments until every truncated product pair
 floor(H*D_{i+q}) > floor(H*D_i) holds, where D_i is the rounded offset
 X_i - X_0.  Arrays whose rounded offsets collide (NotDistinguishable) or
 whose bucket count cannot fit in ``qbits`` bits (Overflow) are rejected.
+
+Certification and the table fill walk the knots in fixed windows and
+chunks with scratch buffers allocated once per call, so set-up allocates
+the tables it keeps plus a few chunk-sized buffers: no N- or R-sized
+temporary.  K is allocated once, at its final size; a fused index keeps
+only its records, whose ``idx`` field is its K.
 """
 
 from __future__ import annotations
@@ -38,6 +44,22 @@ from .partition import ROUNDOFF, SortedPartition, check_domain
 
 #: Table-entry width is fixed at 32-bit unsigned; construction refuses larger N.
 K_DTYPE = np.uint32
+
+#: Knots per chunk of the table fill.  Its scratch lives beside the
+#: table, so the chunk stays small against the smallest table: at
+#: N = 2**16 the fill's buffers (at most 12 bytes a knot) stay under 15%
+#: of a gap-2 K.  Sweep over 2**10 .. 2**16 in CHANGES.md.
+_CHUNK = 1 << 12
+#: Pairs per window of the certification passes.  Their scratch (at most
+#: 17 bytes a pair) is freed before any table is allocated, so the windows
+#: can be wider than the fill's chunks, which saves per-window overhead:
+#: at N = 2**20 certification took 7.3 ms over windows of 2**12 pairs and
+#: 3.3 ms over 2**13.  At 2**14 it gained little more, and the rebuild
+#: workload's resident set grew 6% (sweep in CHANGES.md).
+_WINDOW = 1 << 13
+
+_TWO52 = 2.0 ** 52
+_TWO52_BITS = int(np.float64(_TWO52).view(np.int64))
 
 _FUSED_DTYPES = {
     # (knot index, knot value) co-located in one record: 8 bytes in single
@@ -68,22 +90,26 @@ class FeasibilityReport:
 class DirectIndex:
     """Immutable bucket index enabling O(1) lower-bound search.
 
-    ``k`` maps every bucket 0..r to a knot index (32-bit unsigned);
-    ``left_pad`` holds the q-1 sentinel copies of X_0 that the gap
-    kernels logically prepend to the knots; ``fused`` optionally
-    co-locates (index, knot value) records for the cache-fused kernel.
+    ``k`` maps every bucket 0..r to a knot index (32-bit unsigned).  A
+    fused index instead co-locates (index, knot value) records in
+    ``fused`` for the cache-fused kernel and holds its table only there:
+    its ``k`` is None.  ``table`` is K either way.
     """
 
     x0: np.floating
     h: np.floating
     r: int
     q: int
-    k: np.ndarray
+    k: np.ndarray | None
     qbits: int
     n: int
     precision: str
-    left_pad: np.ndarray
     fused: np.ndarray | None = None
+
+    @property
+    def table(self) -> np.ndarray:
+        """K: ``k``, or the ``idx`` field of the fused records."""
+        return self.k if self.k is not None else self.fused["idx"]
 
 
 def feasibility_threshold(precision: str, qbits: int) -> float:
@@ -137,6 +163,13 @@ def closed_form_h_r(p: SortedPartition, q: int = 1) -> tuple[float, int]:
     return r / span, r
 
 
+def _floors(x, x0, h, out):
+    """floor(h * (x - x0)) in x's precision, written to ``out``."""
+    np.subtract(x, x0, out=out)
+    np.multiply(out, h, out=out)
+    return np.floor(out, out=out)
+
+
 def compute_h_r(p: SortedPartition, qbits: int = 32, q: int = 1):
     """Certified scale factor and bucket count for a direct index.
 
@@ -150,6 +183,11 @@ def compute_h_r(p: SortedPartition, qbits: int = 32, q: int = 1):
     an increment that starts at one ulp and doubles on every failure.
     After any growth the whole array is re-certified, so the returned H
     satisfies the separation property for every pair.
+
+    Each pass walks the knots in windows of ``_WINDOW`` pairs that overlap
+    by q knots, so every pair (i - q, i) is checked exactly once and in
+    order: the result, and the position any error reports, are those of
+    a pass over the whole array.
     """
     if qbits not in (32, 64):
         raise ValueError("qbits must be 32 or 64")
@@ -158,36 +196,54 @@ def compute_h_r(p: SortedPartition, qbits: int = 32, q: int = 1):
         raise ValueError("gap must be >= 1")
     xs = p.values
     scalar = xs.dtype.type
-    offsets = xs - xs[0]
-
-    collide = offsets[q:] == offsets[:-q]
-    if collide.any():
-        raise NotDistinguishable(int(np.argmax(collide)) + q)
-
+    x0 = xs[0]
     # For q > N the separation requirement is vacuous; base the initial
     # guess on the widest available stride so the bucket count stays small.
     basis = min(q, n)
+    width = min(_WINDOW, n + 1 - basis)
+    off = np.empty(width + basis, dtype=xs.dtype)
+    step = np.empty(width, dtype=xs.dtype)
+    hit = np.empty(width, dtype=bool)
+
+    smallest = scalar(np.inf)
+    for a in range(basis, n + 1, _WINDOW):
+        b = min(a + _WINDOW, n + 1)
+        o = np.subtract(xs[a - basis : b], x0, out=off[: b - a + basis])
+        low = np.subtract(o[basis:], o[:-basis], out=step[: b - a]).min()
+        # Offsets never decrease, so a collision shows as a step of zero,
+        # or of NaN where both offsets overflowed to infinity.
+        if not low > 0 and basis == q:
+            collide = np.equal(o[q:], o[:-q], out=hit[: b - a])
+            if collide.any():
+                raise NotDistinguishable(a + int(np.argmax(collide)))
+        smallest = np.minimum(smallest, low)
+
+    def separated(h) -> bool:
+        for a in range(q, n + 1, _WINDOW):
+            b = min(a + _WINDOW, n + 1)
+            f = _floors(xs[a - q : b], x0, h, off[: b - a + q])
+            if not np.greater(f[q:], f[:-q], out=hit[: b - a]).all():
+                return False
+        return True
+
     with np.errstate(over="ignore"):
-        h = scalar(1.0) / (offsets[basis:] - offsets[:-basis]).min()
+        h = scalar(1.0) / smallest
         h_start = h
         limit = scalar(2.0 ** qbits)
-        span = offsets[-1]
+        span = xs[-1] - x0
         if not h * span < limit:
             raise Overflow(f"floor(H * D_N) >= 2**{qbits} at the initial guess")
 
         growth = np.nextafter(h, scalar(np.inf)) - h
         increments = 0
-        while True:
-            floors = np.floor(h * offsets)
-            if (floors[q:] > floors[:-q]).all():
-                break
+        while not separated(h):
             h = h + growth
             increments += 1
             if not h * span < limit:
                 raise Overflow(f"floor(H * D_N) >= 2**{qbits} while growing H")
             growth = growth + growth
 
-    r = int(floors[-1])
+    r = int(np.floor(h * span))
     stats = HGrowthStats(
         increments=increments,
         final_h=float(h),
@@ -198,8 +254,63 @@ def compute_h_r(p: SortedPartition, qbits: int = 32, q: int = 1):
 
 def knot_buckets(p: SortedPartition, h) -> np.ndarray:
     """f evaluated at every knot, as int64, in the partition's precision."""
-    offsets = p.values - p.values[0]
-    return np.floor(h * offsets).astype(np.int64)
+    xs = p.values
+    return _floors(xs, xs[0], h, np.empty_like(xs)).astype(np.int64)
+
+
+def _fill_table(k: np.ndarray, xs: np.ndarray, h, q: int) -> None:
+    """Write K into the zeroed ``k``, one chunk of knots at a time.
+
+    Each entry of K counts knots: at gap 1 (K_j = i exactly when f_{i-1} <
+    j <= f_i) K_j = #{i : f_i < j}, and at gap q > 1 (K_j = max{i : f_i
+    <= j}) K_j = #{i >= 1 : f_i <= j}.  So every knot i >= 1 adds one at
+    bucket f_{i-1} + 1 (gap 1) or f_i (gap q), where ``np.add.at`` counts
+    knots that share a bucket, and a running sum turns the counts into K.
+
+    After each chunk's adds, the running sum runs up to the first bucket
+    the next chunk adds to, so every entry is final one chunk after its
+    knots were read.  ``k`` may be a strided view.
+    """
+    n = len(xs) - 1
+    x0 = xs[0]
+    shift = int(q == 1)  # gap 1 reads knot i - 1 and adds past its bucket
+    width = min(_CHUNK, n) + 1
+    # The buckets are whole numbers below 2**52, since a table that long
+    # could not be allocated.  Adding 2**52 to one in binary64 leaves it in
+    # the low bits, so the int64 buckets come out of the float64 view of
+    # the same buffer, and double precision needs no float buffer.
+    j = np.empty(width, dtype=np.int64)
+    jf = j.view(np.float64)
+    f = jf if xs.dtype == jf.dtype else np.empty(width, dtype=xs.dtype)
+    one = K_DTYPE(1)
+    done = 0  # k[:done] holds final entries
+    for a in range(1, n + 1, _CHUNK):
+        b = min(a + _CHUNK, n + 1)
+        e = min(b, n) + 1 - a  # the chunk's knots and the next chunk's first
+        lo = a - shift
+        _floors(xs[lo : lo + e], x0, h, f[:e])
+        if f is not jf:
+            jf[:e] = f[:e]
+        np.add(jf[:e], _TWO52 + shift, out=jf[:e])
+        np.subtract(j[:e], _TWO52_BITS, out=j[:e])
+        np.add.at(k, j[: b - a], one)
+        end = len(k) if b > n else int(j[b - a])
+        run = k[max(done - 1, 0) : end]
+        np.add.accumulate(run, out=run)
+        done = end
+
+
+def _fill_values(fused: np.ndarray, xs: np.ndarray) -> None:
+    """fused["val"] = X[fused["idx"]], gathered in chunks of _CHUNK records."""
+    idx, val = fused["idx"], fused["val"]
+    width = min(_CHUNK, len(fused))
+    at = np.empty(width, dtype=np.int64)
+    got = np.empty(width, dtype=xs.dtype)
+    for a in range(0, len(fused), _CHUNK):
+        b = min(a + _CHUNK, len(fused))
+        at[: b - a] = idx[a:b]
+        np.take(xs, at[: b - a], out=got[: b - a], mode="clip")
+        val[a:b] = got[: b - a]
 
 
 def build_index(
@@ -213,29 +324,36 @@ def build_index(
     """Materialize the bucket table K for (h, r) produced by compute_h_r.
 
     O(N + R): one bucket evaluation per knot, one write per table entry.
+    K is allocated once, at its final size R + 1, and filled chunk by
+    chunk from the knots (see ``_fill_table``), so the build allocates no
+    N- or R-sized temporary.  With ``fused`` (gap 1 only) it allocates
+    only the (index, knot value) records and fills their ``idx`` field
+    as K; the returned index's ``k`` is then None.
     """
     n = p.n_intervals
     if n >= 2 ** 32:
         raise ValueError("table entries are 32-bit; partition is too large")
-    f = knot_buckets(p, h)
-    if f[-1] != r:
+    xs = p.values
+    if _floors(xs[-1:], xs[0], h, np.empty(1, xs.dtype)).astype(np.int64)[0] != r:
         raise ValueError("(h, r) pair is inconsistent with this partition")
-    if q == 1:
-        # K_j = i exactly when f(X_{i-1}) < j <= f(X_i); K_0 = 0.
-        counts = np.concatenate([[1], np.diff(f)])
+    if fused and q != 1:
+        raise ValueError("fused records pair with the gap-1 kernel")
+    if fused:
+        records = np.zeros(r + 1, dtype=_FUSED_DTYPES[p.precision])
+        k = records["idx"]
     else:
-        # K_j = max{i : f(X_i) <= j}.  Note K_0 exceeds 0 whenever several
-        # leading knots share bucket 0; the gap kernel's correction terms
-        # rely on exactly that value.
-        counts = np.concatenate([np.diff(f), [1]])
-    k = np.repeat(np.arange(n + 1, dtype=K_DTYPE), counts)
-    assert len(k) == r + 1 and k[-1] == n
-    assert k[0] == (0 if q == 1 else int(np.searchsorted(f, 0, side="right")) - 1)
-    k.setflags(write=False)
-    left_pad = np.full(q - 1, p.values[0], dtype=p.values.dtype)
-    left_pad.setflags(write=False)
-    idx = DirectIndex(
-        x0=p.values[0],
+        records = None
+        k = np.zeros(r + 1, dtype=K_DTYPE)
+    _fill_table(k, xs, h, q)
+    assert k[-1] == n
+    if fused:
+        _fill_values(records, xs)
+        records.setflags(write=False)
+        k = None
+    else:
+        k.setflags(write=False)
+    return DirectIndex(
+        x0=xs[0],
         h=h,
         r=r,
         q=q,
@@ -243,9 +361,8 @@ def build_index(
         qbits=qbits,
         n=n,
         precision=p.precision,
-        left_pad=left_pad,
+        fused=records,
     )
-    return with_fused(idx, p) if fused else idx
 
 
 def build(p: SortedPartition, qbits: int = 32, q: int = 1, fused: bool = False):
@@ -258,14 +375,15 @@ def build(p: SortedPartition, qbits: int = 32, q: int = 1, fused: bool = False):
 
 
 def with_fused(idx: DirectIndex, p: SortedPartition) -> DirectIndex:
-    """Attach cache-fused (index, value) records; gap-1 indices only."""
+    """The fused form of a gap-1 index: its K moved into (index, value)
+    records, with ``k`` None."""
     if idx.q != 1:
         raise ValueError("fused records pair with the gap-1 kernel")
     fused = np.zeros(idx.r + 1, dtype=_FUSED_DTYPES[idx.precision])
-    fused["idx"] = idx.k
-    fused["val"] = p.values[idx.k]
+    fused["idx"] = idx.table
+    _fill_values(fused, p.values)
     fused.setflags(write=False)
-    return replace(idx, fused=fused)
+    return replace(idx, k=None, fused=fused)
 
 
 def direct_search(idx: DirectIndex, p: SortedPartition, z) -> int:
@@ -273,13 +391,13 @@ def direct_search(idx: DirectIndex, p: SortedPartition, z) -> int:
 
     The bucket f(z) is evaluated in the index's precision.  The candidate
     t = K[f(z)] is corrected by comparing z against X_t .. X_{t-q+1}; a read
-    below X_0 is clamped to X_0, which behaves exactly like the sentinel
-    copies of X_0 the gap kernels logically prepend to the knots (z < X_0
-    never holds, so a clamped read never changes the result).
+    below X_0 is clamped to X_0, as the gap kernels clamp it (z < X_0
+    never holds, so a clamped read never changes the result).  K is read
+    from the fused records when the index keeps only those.
     """
     check_domain(p, z)
     xs = p.values
-    t = int(idx.k[int(idx.h * (idx.h.dtype.type(z) - idx.x0))])
+    t = int(idx.table[int(idx.h * (idx.h.dtype.type(z) - idx.x0))])
     return t - sum(1 for m in range(idx.q) if z < xs[max(t - m, 0)])
 
 

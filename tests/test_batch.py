@@ -161,10 +161,10 @@ class TestThreads:
         with pytest.raises(ValueError, match=f"FASTSEARCH_THREADS.*{value!r}"):
             resolve_threads(None)
 
-    def test_worker_count_capped_at_cpu_count(self, workload, monkeypatch):
-        """A huge thread request never asks the executor for more workers
-        than there are CPUs.  The executor is replaced by one that records
-        max_workers and runs the work inline, so no thread is started."""
+    @pytest.fixture
+    def recording_executor(self, monkeypatch):
+        """Replace the executor by one that records max_workers and runs
+        the work inline, so no thread is started; returns the record."""
         requested = []
 
         class InlineExecutor:
@@ -182,13 +182,51 @@ class TestThreads:
                 return SimpleNamespace(result=lambda: None)
 
         monkeypatch.setattr(batch, "ThreadPoolExecutor", InlineExecutor)
+        return requested
+
+    def test_worker_count_capped_at_cpu_count(
+        self, workload, recording_executor, monkeypatch
+    ):
+        """A huge thread request never asks the executor for more workers
+        than there are CPUs, on a batch large enough for more spans."""
         monkeypatch.setattr(batch.os, "cpu_count", lambda: 4)
-        p, z, want = workload
+        p = workload[0]
+        z = random_queries(p, 5 * batch._BLOCK + 3, seed=2003)
+        want = linear_scan_oracle_batch(p, z)
         prep = prepare("direct", p)
         assert np.array_equal(run_batch(prep, z, d=8, threads=100_000), want)
         monkeypatch.setenv("FASTSEARCH_THREADS", "100000")
         assert np.array_equal(run_batch(prep, z, d=8), want)
-        assert requested == [4, 4]
+        assert recording_executor == [4, 4]
+
+    @pytest.mark.parametrize("algorithm", ["classic", "direct"])
+    def test_small_batch_runs_inline(self, recording_executor, algorithm, monkeypatch):
+        """Threads get spans of at least one lane block: a 1003-query call
+        builds no pool at any thread count, and its answers are those of
+        the single-threaded call."""
+        monkeypatch.setattr(batch.os, "cpu_count", lambda: 8)
+        p = gen_uniform_gap_partition(255, 1, 5, seed=2004)
+        z = random_queries(p, 1003, seed=2005)
+        prep = prepare(algorithm, p)
+        single = run_batch(prep, z, d=8, threads=1)
+        for threads in (2, 3, 5):
+            assert np.array_equal(run_batch(prep, z, d=8, threads=threads), single)
+        assert recording_executor == []
+        assert np.array_equal(single, linear_scan_oracle_batch(p, z))
+
+    @pytest.mark.parametrize("d", [1, 8])
+    def test_spans_hold_at_least_one_block(self, recording_executor, d, monkeypatch):
+        """A batch just short of two blocks runs inline; one of two blocks
+        or more is split, into as many spans as it holds whole blocks."""
+        monkeypatch.setattr(batch.os, "cpu_count", lambda: 8)
+        p = gen_uniform_gap_partition(255, 1, 5, seed=2006)
+        block = batch._BLOCK
+        z = random_queries(p, 3 * block + 5, seed=2007)
+        want = linear_scan_oracle_batch(p, z)
+        prep = prepare("direct", p)
+        for m in (2 * block - 1, 2 * block + 5, 3 * block + 5):
+            assert np.array_equal(run_batch(prep, z[:m], d=d, threads=5), want[:m])
+        assert recording_executor == [2, 3]
 
 
 class TestQueryConversion:
@@ -293,9 +331,10 @@ class TestDirectScalarTables:
     @pytest.mark.parametrize("precision", ["single", "double"])
     @pytest.mark.parametrize("algorithm", ["direct", "direct-gap2", "direct-cache"])
     def test_scalar_reads_index_in_place(self, algorithm, precision):
-        """A prepared direct kernel holds its index arrays plus at most one
-        padded copy of the knots; per-entry Python lists of K and the knots
-        took 3-16 times those arrays' bytes."""
+        """A prepared direct kernel holds its index arrays and nothing more:
+        a fused index only its records, and no kernel a copy of the knots.
+        Per-entry Python lists of K and the knots took 3-16 times those
+        arrays' bytes."""
         p = gen_uniform_gap_partition(1 << 14, 1, 5, seed=81, precision=precision)
         tracemalloc.start()
         try:
@@ -304,8 +343,13 @@ class TestDirectScalarTables:
         finally:
             tracemalloc.stop()
         idx = prep.structure
-        arrays = idx.k.nbytes + (0 if idx.fused is None else idx.fused.nbytes)
-        assert held < arrays + p.values.nbytes + (1 << 16), (held, arrays)
+        if algorithm == "direct-cache":
+            assert idx.k is None
+            arrays = idx.fused.nbytes
+        else:
+            assert idx.fused is None
+            arrays = idx.k.nbytes
+        assert held < arrays + (1 << 16), (held, arrays)
         z = random_queries(p, 2000, seed=82)
         want = linear_scan_oracle_batch(p, z).tolist()
         assert [prep.scalar(v) for v in z.tolist()] == want

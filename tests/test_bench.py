@@ -11,6 +11,7 @@ from fastsearch.bench.harness import (
     run_setup_stats,
     run_throughput,
 )
+from fastsearch.bench import persist
 from fastsearch.bench.persist import load_index, save_index
 from fastsearch.bench.report import emit_report
 from fastsearch.direct import build, direct_search
@@ -126,11 +127,27 @@ class TestPersistence:
         path = tmp_path / "g2.idx"
         save_index(idx, path)
         back = load_index(path)
-        assert back.q == 2 and len(back.left_pad) == 1
+        assert back.q == 2 and back.fused is None
+        assert np.array_equal(back.k, idx.k)
         z = random_queries(p, 500, seed=5)
         assert [direct_search(back, p, v) for v in z.tolist()] == [
             direct_search(idx, p, v) for v in z.tolist()
         ]
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_fused_index_saves_plain_file(self, tmp_path, precision, monkeypatch):
+        """A fused index keeps K only in its records' strided idx field;
+        saving it, in several chunks, writes the very file the plain gap-1
+        index of the same partition writes."""
+        monkeypatch.setattr(persist, "_WRITE_CHUNK", 1000)
+        p = gen_uniform_gap_partition(3000, 1, 5, seed=33, precision=precision)
+        plain, _ = build(p)
+        fused, _ = build(p, fused=True)
+        assert fused.k is None and plain.r + 1 > 3 * persist._WRITE_CHUNK
+        a, b = tmp_path / "plain.idx", tmp_path / "fused.idx"
+        assert save_index(plain, a) == save_index(fused, b) == a.stat().st_size
+        assert a.read_bytes() == b.read_bytes()
+        assert np.array_equal(load_index(b).k, plain.k)
 
     def test_round_trip_copies_no_payload(self, tmp_path):
         """save_index writes K from its own buffer and load_index reads the

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fastsearch import direct
 from fastsearch.batch import prepare
 from fastsearch.direct import (
     build,
@@ -255,6 +258,15 @@ class TestSearchKernels:
         assert fd.dtype.itemsize == 16
         assert np.all(fd["pad"] == 0)
 
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_reference_reads_fused_only_index(self, precision):
+        """A fused index holds K only in its records; the reference reads it there."""
+        p = gen_uniform_gap_partition(255, 1, 5, seed=12, precision=precision)
+        idx, _ = build(p, fused=True)
+        assert idx.k is None
+        for z in boundary_probes(p):
+            assert direct_search(idx, p, z) == linear_scan_oracle(p, z)
+
     def test_fused_requires_gap1(self):
         p = worked_partition()
         idx, _ = build(p, q=2)
@@ -320,3 +332,124 @@ class TestMemoryCost:
         idx, _ = build(p)
         estimate = memory_cost_estimate(p, 4)
         assert idx.r <= estimate / 4 + 2
+
+
+def repeat_table(p, h, r, q):
+    """K as the run-length construction built it, the reference for the
+    chunked fill: every knot index repeated over its run of buckets."""
+    f = np.floor(h * (p.values - p.values[0])).astype(np.int64)
+    if q == 1:
+        counts = np.concatenate([[1], np.diff(f)])
+    else:
+        counts = np.concatenate([np.diff(f), [1]])
+    k = np.repeat(np.arange(p.n_intervals + 1, dtype=np.uint32), counts)
+    assert len(k) == r + 1
+    return k
+
+
+def repeat_records(p, k):
+    """The fused records as they were built from that K."""
+    fields = {
+        "single": [("idx", "<u4"), ("val", "<f4")],
+        "double": [("idx", "<u4"), ("pad", "<u4"), ("val", "<f8")],
+    }
+    fused = np.zeros(len(k), dtype=fields[p.precision])
+    fused["idx"] = k
+    fused["val"] = p.values[k]
+    return fused
+
+
+#: Seeds of 15-knot uniform-gap heads whose gap-q certification grows H at
+#: each precision; the wider gaps of the tail leave the initial H as it is.
+GROWTH_SEEDS = {
+    ("single", 1): 116, ("single", 2): 149, ("single", 3): 32,
+    ("double", 1): 32, ("double", 2): 3, ("double", 3): 22,
+}
+
+
+def chunk_partition(kind, n, precision, q):
+    """n intervals: uniform gaps, a second knot that shares bucket 0 with
+    the first at every gap q > 1, or a head that needs H growth."""
+    dtype = np.float32 if precision == "single" else np.float64
+    rng = np.random.default_rng(10 * n + q)
+    if kind == "growth":
+        head = gen_uniform_gap_partition(
+            15, 1, 5, seed=GROWTH_SEEDS[precision, q], precision=precision
+        ).values.astype(np.float64)
+        knots = np.concatenate([head, head[-1] + np.cumsum(rng.uniform(3, 5, n - 14))])
+    else:
+        knots = np.concatenate([[0.0], np.cumsum(rng.uniform(1, 5, n))])
+        if kind == "shared":
+            knots[1] = 0.25
+    return validate_partition(knots.astype(dtype))
+
+
+class TestChunkedConstruction:
+    """Certification walks the knots in windows of direct._WINDOW pairs and
+    the table fill in chunks of direct._CHUNK knots; everything they
+    produce matches a whole-array pass."""
+
+    C, W = direct._CHUNK, direct._WINDOW
+
+    @pytest.mark.parametrize("kind", ["uniform", "shared", "growth"])
+    @pytest.mark.parametrize(
+        "n", [C - 1, C, C + 1, 3 * C + 7, W - 1, W, W + 1, 3 * W + 7]
+    )
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_tables_match_repeat_construction(self, kind, n, q, precision):
+        p = chunk_partition(kind, n, precision, q)
+        h, r, stats = compute_h_r(p, q=q)
+        want = repeat_table(p, h, r, q)
+        if kind == "growth":
+            assert stats.increments > 0
+        if kind == "shared" and q > 1:
+            assert want[0] > 0  # several leading knots in bucket 0
+        idx = build_index(p, h, r, q=q)
+        assert idx.k.dtype == want.dtype and idx.k.tobytes() == want.tobytes()
+        assert not idx.k.flags.writeable
+        if q == 1:
+            records = repeat_records(p, want)
+            for fused in (build_index(p, h, r, fused=True), with_fused(idx, p)):
+                assert fused.k is None
+                assert fused.fused.dtype == records.dtype
+                assert fused.fused.tobytes() == records.tobytes()
+                assert fused.table.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_collision_across_chunk_edge(self, q, side):
+        """Pairs (i - q, i) are checked in windows of _WINDOW pairs from
+        i = q: a collision at the last pair of the first window or the
+        first of the second is reported where a whole-array check finds
+        it, ahead of a later one."""
+        c = q + self.W - 1 + side
+        # Offsets from X_0 = -1e9 are exact multiples of 64 in float32, so
+        # knots that close together round onto one offset.
+        knots = 128.0 * np.arange(3 * self.W, dtype=np.float64)
+        knots[0] = -1e9
+        for at in (c, c + self.W + 5):
+            knots[at - q + 1 : at + 1] = knots[at - q] + np.arange(1, q + 1)
+        p = validate_partition(knots.astype(np.float32))
+        off = p.values - p.values[0]
+        assert (np.flatnonzero(off[q:] == off[:-q]) + q).tolist() == [c, c + self.W + 5]
+        with pytest.raises(NotDistinguishable) as exc:
+            compute_h_r(p, q=q)
+        assert exc.value.position == c
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("algorithm", ["direct", "direct-gap2", "direct-cache"])
+    def test_setup_allocates_what_it_keeps(self, algorithm, precision):
+        """prepare's peak stays within 1.15x the tables it keeps: the
+        construction allocates no N- or R-sized temporary, and a fused
+        index no K besides its records."""
+        p = gen_uniform_gap_partition((1 << 16) + 1, 1, 5, seed=91, precision=precision)
+        tracemalloc.start()
+        try:
+            prep = prepare(algorithm, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        idx = prep.structure
+        kept = sum(a.nbytes for a in (idx.k, idx.fused) if a is not None)
+        assert peak < 1.15 * kept, (peak, kept)
