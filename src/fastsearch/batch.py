@@ -274,26 +274,44 @@ def _build_offset(p: SortedPartition, qbits: int):
 
 def _build_eytzinger(p: SortedPartition, qbits: int):
     lay = eytzinger.build_layout(p)
-    # 0-based descent: p <- 2p + 1 + [z >= tree[p]]; afterwards p - 2**depth
-    # is the count of knots <= z, minus one.
-    lines = ["p = 1 + (z >= xs[0])"]
-    for _ in range(lay.L - 1):
-        lines.append("p = p + p + 1 + (z >= xs[p])")
-    lines.append(f"return p - {1 << lay.L}")
+    top, n = lay.top, p.n_intervals
+    # 0-based descent over the stored levels: p <- 2p + 1 + [z >= tree[p]];
+    # afterwards p + 1 - 2**top is the node's offset u in level top.
+    lines = ["p = 0"]
+    for _ in range(top):
+        lines.append("p = p + p + 1 + (z >= t[p])")
+    lines.append(f"w = (p + {1 - (1 << top)}) << {lay.L - top}")
+    # Each knot step reads X[min(w + half - 1, N)] and lands on w + half.
+    for level in range(top, lay.L):
+        half = 1 << (lay.L - level - 1)
+        lines.append(f"r = w + {half - 1}")
+        lines.append(f"if z >= xs[r if r < {n} else {n}]: w = r + 1")
+    lines.append("return w - 1")
 
-    def step(z, u, v, hit, _t=lay.tree, _L=lay.L):
-        # u is the slot's offset within its level: level l starts at slot
-        # 2**l - 1, and the children of offset u are offsets 2u and 2u + 1.
-        u[:] = 0
-        for level in range(_L):
-            _take(_t[(1 << level) - 1 :], u, v)
+    def step(z, w, r, v, hit, _t=lay.tree, _x=p.values, _top=top, _L=lay.L):
+        # w is the node's offset within its level: level l starts at slot
+        # 2**l - 1, and the children of offset w are offsets 2w and 2w + 1.
+        w[:] = 0
+        for level in range(_top):
+            _take(_t[(1 << level) - 1 :], w, v)
             np.greater_equal(z, v, out=hit)
-            np.add(u, u, out=u)
-            np.add(u, hit, out=u)
-        np.subtract(u, 1, out=u)  # the leaf offset counts the knots <= z
+            np.add(w, w, out=w)
+            np.add(w, hit, out=w)
+        # Below the stored levels w is the in-order rank of the leftmost
+        # leaf under the node, and the node at that level has rank
+        # w + half - 1 in the knots; the clip reads X_N past N, as the
+        # padding did.
+        np.left_shift(w, _L - _top, out=w)
+        for level in range(_top, _L):
+            half = 1 << (_L - level - 1)
+            _take(_x[half - 1 :], w, v)  # X[min(w + half - 1, N)]
+            np.greater_equal(z, v, out=hit)
+            _add_where(w, hit, half, r)
+        np.subtract(w, 1, out=w)  # the leaf rank counts the knots <= z
 
-    lanes = _blocked(step, lay.tree.dtype, bool)
-    return lay, _compile_kernel(lines, xs=memoryview(lay.tree)), lanes
+    lanes = _blocked(step, np.int64, p.values.dtype, bool)
+    scalar = _compile_kernel(lines, t=memoryview(lay.tree), xs=memoryview(p.values))
+    return lay, scalar, lanes
 
 
 def _scalar_bucket(idx: direct.DirectIndex):
@@ -317,9 +335,8 @@ def _direct_scalar(idx: direct.DirectIndex, xs: np.ndarray) -> Callable:
     ``tolist()`` copies, which box every entry in its own object, they
     add no memory and keep a random lookup to one compact table row: at
     N = 2**16 the kernel runs about 1.5x as fast, at 2**20 about 1.9x.
-    The eytzinger scalar reads its tree the same way, which saves a
-    boxed copy of all 2**L slots at set-up; per query it is slower than
-    a list at N = 2**12, even at 2**16 and faster at 2**20.  The other
+    The eytzinger scalar reads its stored tree levels and the knots the
+    same way, which saves a boxed copy of both at set-up.  The other
     comparison scalars keep ``tolist()`` copies of their knots, because
     a memoryview slows the small-N scalar speeds that the acceptance
     suite compares (ROADMAP item 2).

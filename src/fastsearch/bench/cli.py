@@ -202,6 +202,13 @@ def index_main(argv=None) -> int:
                 print("index: error: partition does not match the index",
                       file=sys.stderr)
                 return EXIT_USAGE
+            # The CRC covers K but not its meaning: an entry past N would
+            # send the search to a knot the partition does not have.
+            largest = int(idx.table.max())
+            if largest > idx.n:
+                print(f"index: bad index file: K holds knot index {largest}, "
+                      f"past N = {idx.n}", file=sys.stderr)
+                return EXIT_IO
             queries = gen_queries(p, args.verify_queries, seed=args.seed)
             want = linear_scan_oracle_batch(p, queries.values)
             got = [direct_search(idx, p, z) for z in queries.values.tolist()]

@@ -1,20 +1,26 @@
 """Cache-friendly heap-order (Eytzinger) layout and its fixed-depth descent.
 
-The sorted knots, right-padded with copies of X_N, are rearranged into the
-breadth-first order of a complete binary tree of 2**L - 1 slots, where L is
-the smallest depth whose full tree holds all N+1 knots.  Each level of the
-tree is one strided slice of the knots, so construction is one slice copy
-per level and allocates only the tree.  A descent then touches one slot
-per level -- exactly L comparisons for every query, with no data-dependent
-exit.
+The sorted knots, right-padded with copies of X_N, form the in-order
+sequence of a complete binary tree of depth L, the smallest depth whose
+2**L - 1 slots hold all N+1 knots.  Only the top ``top`` levels of that
+tree are stored, in breadth-first order: the last log2(64 / itemsize)
+levels of a descent read knots that lie within one 64-byte line of the
+sorted knots, so they are read from the knots in place.  Each stored
+level is one strided slice of the knots, so construction is one slice
+copy per level and allocates only those 2**top - 1 slots.  A descent
+touches one slot or knot per level -- exactly L comparisons for every
+query, with no data-dependent exit.
 
-Index recovery: starting from k = 1 and updating k <- 2k + [z >= node],
-the final k lies in [2**L, 2**(L+1) - 1] and k - 2**L equals the number of
-tree elements <= z.  Padding slots hold X_N > z, so that count equals the
-count over the base partition, and the sought interval index is the count
-minus one.  The in-order invariant below is what makes this rank argument
-valid, and the whole kernel is additionally validated against the
-linear-scan oracle.
+Index recovery: the first ``top`` levels start from offset u = 0 and
+update u <- 2u + [z >= node], so afterwards u counts the stored slots
+<= z.  Shifted left by L - top, u becomes the in-order rank w of the
+leftmost leaf under the node reached, and each remaining level, with
+half = 2**(L-l-1), sets w <- w + half when z >= X[min(w + half - 1, N)].
+The final w is the number of padded knots <= z.  A rank past N reads
+X_N > z, as a padding slot did, so that count equals the count over the
+base partition, and the sought interval index is the count minus one.
+The whole kernel is additionally validated against the linear-scan
+oracle.
 """
 
 from __future__ import annotations
@@ -25,18 +31,29 @@ import numpy as np
 
 from .partition import SortedPartition
 
+#: Bytes per cache line.  The descent's last log2(_LINE / itemsize) steps
+#: stay within one line of the sorted knots.
+_LINE = 64
+
 
 @dataclass(frozen=True)
 class EytzingerLayout:
-    """Knots in heap order: slot k's children sit at 2k+1 and 2k+2 (0-based).
+    """The top levels of the heap-order tree over the knots of ``source``.
 
-    In-order traversal of ``tree`` yields the base partition followed by
-    2**L - 1 - (N+1) copies of X_N.
+    Slot k's children sit at 2k+1 and 2k+2 (0-based).  ``tree`` holds the
+    first 2**top - 1 slots of the depth-L tree whose in-order traversal is
+    the base partition followed by copies of X_N; the L - top levels below
+    are read from ``source.values``.
     """
 
     tree: np.ndarray
     L: int
     source: SortedPartition
+
+    @property
+    def top(self) -> int:
+        """Number of tree levels stored in ``tree``."""
+        return len(self.tree).bit_length()
 
 
 def tree_depth(n: int) -> int:
@@ -45,18 +62,21 @@ def tree_depth(n: int) -> int:
 
 
 def build_layout(p: SortedPartition) -> EytzingerLayout:
-    """Construct the padded heap-order layout, one strided copy per level.
+    """Construct the top levels of the padded heap-order tree, one strided
+    copy per level.
 
     Level l holds slots 2**l - 1 .. 2**(l+1) - 2, and its slot at offset u
     has in-order rank u * 2**(L-l) + 2**(L-l-1) - 1.  A level is therefore
     the strided slice ``X[2**(L-l-1) - 1 :: 2**(L-l)]`` of the knots,
-    followed by copies of X_N for the ranks past N.  The only allocation
-    is the tree itself.
+    followed by copies of X_N for the ranks past N.  Levels 0 .. top - 1
+    are stored, bit for bit as in the full tree; the only allocation is
+    those 2**top - 1 slots.
     """
     xs = p.values
     depth = tree_depth(p.n_intervals)
-    tree = np.empty((1 << depth) - 1, dtype=xs.dtype)
-    for level in range(depth):
+    top = max(depth - (_LINE // xs.itemsize).bit_length() + 1, 0)
+    tree = np.empty((1 << top) - 1, dtype=xs.dtype)
+    for level in range(top):
         stride = 1 << (depth - level)
         row = tree[(1 << level) - 1 : (1 << (level + 1)) - 1]
         knots = xs[(stride >> 1) - 1 :: stride]
@@ -66,27 +86,18 @@ def build_layout(p: SortedPartition) -> EytzingerLayout:
     return EytzingerLayout(tree=tree, L=depth, source=p)
 
 
-def in_order(lay: EytzingerLayout) -> np.ndarray:
-    """Flatten the tree back to sorted order (padding included)."""
-    out = np.empty(len(lay.tree), dtype=lay.tree.dtype)
-    pos = 0
-
-    def visit(slot: int):
-        nonlocal pos
-        if slot >= len(lay.tree):
-            return
-        visit(2 * slot + 1)
-        out[pos] = lay.tree[slot]
-        pos += 1
-        visit(2 * slot + 2)
-
-    visit(0)
-    return out
-
-
-def eytzinger_seq(tree, depth: int, z) -> int:
-    """Fixed-depth descent; ``tree`` is any 0-based indexable sequence."""
+def eytzinger_seq(tree, xs, depth: int, z) -> int:
+    """Fixed-depth descent: the len(tree).bit_length() levels stored in
+    ``tree``, then the rest over the knots ``xs``, each read clamped to
+    X_N.  Both are any 0-based indexable sequences."""
+    top = len(tree).bit_length()
+    n = len(xs) - 1
     k = 1
-    for _ in range(depth):
+    for _ in range(top):
         k = 2 * k + (1 if z >= tree[k - 1] else 0)
-    return k - (1 << depth) - 1
+    w = (k - (1 << top)) << (depth - top)
+    for level in range(top, depth):
+        half = 1 << (depth - level - 1)
+        if z >= xs[min(w + half - 1, n)]:
+            w += half
+    return w - 1

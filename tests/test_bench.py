@@ -1,4 +1,6 @@
+import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -398,3 +400,21 @@ class TestIndexCli:
         code = index_main(["load", "--path", str(out), "--partition", str(knots)])
         assert code == 0
         assert "gap=2" in capsys.readouterr().out
+
+    def test_tampered_k_entry_is_bad_index(self, tmp_path, capsys):
+        """A K entry past N under a recomputed CRC loads cleanly; checking
+        it against the partition reports a bad index, not a traceback."""
+        p = gen_uniform_gap_partition(256, 1, 5, seed=86)
+        knots = self.write_partition(tmp_path, p.values.tolist())
+        out = tmp_path / "t.idx"
+        assert index_main(["save", "--path", str(out), "--partition", str(knots)]) == 0
+        raw = bytearray(out.read_bytes())
+        k = np.frombuffer(raw, dtype="<u4", offset=48, count=(len(raw) - 52) // 4).copy()
+        k[len(k) // 2] = 10**6
+        raw[48:-4] = k.tobytes()
+        raw[-4:] = struct.pack("<I", zlib.crc32(k.tobytes()))
+        out.write_bytes(bytes(raw))
+        capsys.readouterr()
+        code = index_main(["load", "--path", str(out), "--partition", str(knots)])
+        assert code == 3
+        assert "bad index file" in capsys.readouterr().err
