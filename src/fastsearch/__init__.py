@@ -5,22 +5,18 @@ Given a strictly increasing array X of N+1 knots and queries z in
 The package provides the classical binary search, four branch-free
 fixed-iteration variants (including the cache-friendly heap-order
 layout), an O(1) bucket-indexed search family with rounding-aware
-feasibility analysis, lock-step batch execution, and a benchmark CLI.
+certification, lock-step batch execution, and a benchmark CLI.
 """
 
 from .batch import ALGORITHMS, PreparedKernel, prepare, run_batch
 from .direct import (
     DirectIndex,
-    FeasibilityReport,
     HGrowthStats,
     build,
     build_index,
     closed_form_h_r,
     compute_h_r,
     direct_search,
-    feasibility_estimate,
-    memory_cost_estimate,
-    minimal_index_bytes,
     with_fused,
 )
 from .errors import (
@@ -57,7 +53,6 @@ __all__ = [
     "ChecksumMismatch",
     "DirectIndex",
     "EytzingerLayout",
-    "FeasibilityReport",
     "HGrowthStats",
     "IndexFileError",
     "InfeasibleError",
@@ -78,13 +73,10 @@ __all__ = [
     "closed_form_h_r",
     "compute_h_r",
     "direct_search",
-    "feasibility_estimate",
     "gen_queries",
     "gen_uniform_gap_partition",
     "linear_scan_oracle",
     "linear_scan_oracle_batch",
-    "memory_cost_estimate",
-    "minimal_index_bytes",
     "prepare",
     "run_batch",
     "validate_partition",

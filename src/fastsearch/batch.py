@@ -148,18 +148,17 @@ class PreparedKernel:
     lanes: Callable | None
 
 
-# Every builder takes (partition, qbits) and returns (structure, scalar,
-# lanes); only the direct family reads qbits.
+# Every builder takes the partition and returns (structure, scalar, lanes).
 
 
-def _build_classic(p: SortedPartition, qbits: int):
+def _build_classic(p: SortedPartition):
     def scalar(z, _xs=p.values.tolist(), _n=p.n_intervals):
         return binsearch.classic_seq(_xs, _n, z)
 
     return p, scalar, None
 
 
-def _build_bitset1(p: SortedPartition, qbits: int):
+def _build_bitset1(p: SortedPartition):
     n = p.n_intervals
     probe = binsearch.probe_constant(n)
     lines = ["i = 0"]
@@ -188,12 +187,13 @@ def _build_bitset1(p: SortedPartition, qbits: int):
     return probe, _compile_kernel(lines, xs=p.values.tolist()), lanes
 
 
-def _build_bitset2(p: SortedPartition, qbits: int):
-    pp = pad_right_pow2(p)
+def _build_bitset2(p: SortedPartition):
+    padded = pad_right_pow2(p)
+    probe = binsearch.probe_constant(p.n_intervals)
     lines = ["i = 0"]
-    k = pp.probe
+    k = probe
     while k:
-        if k == pp.probe:
+        if k == probe:
             lines.append(f"if z >= xs[{k}]: i = {k}")
         else:
             lines.append(f"r = i | {k}")
@@ -201,7 +201,7 @@ def _build_bitset2(p: SortedPartition, qbits: int):
         k >>= 1
     lines.append("return i")
 
-    def step(z, i, r, v, hit, _xs=pp.padded, _p=pp.probe):
+    def step(z, i, r, v, hit, _xs=padded, _p=probe):
         i[:] = 0
         k = _p
         while k:
@@ -210,11 +210,11 @@ def _build_bitset2(p: SortedPartition, qbits: int):
             _add_where(i, hit, k, r)  # i | k, bit k being clear
             k >>= 1
 
-    lanes = _blocked(step, np.int64, pp.padded.dtype, bool)
-    return pp, _compile_kernel(lines, xs=pp.padded.tolist()), lanes
+    lanes = _blocked(step, np.int64, padded.dtype, bool)
+    return padded, _compile_kernel(lines, xs=padded.tolist()), lanes
 
 
-def _build_bitset3(p: SortedPartition, qbits: int):
+def _build_bitset3(p: SortedPartition):
     n = p.n_intervals
     probe = binsearch.probe_constant(n)
     lines = ["i = 0"]
@@ -242,7 +242,7 @@ def _build_bitset3(p: SortedPartition, qbits: int):
     return probe, _compile_kernel(lines, xs=p.values.tolist()), lanes
 
 
-def _build_offset(p: SortedPartition, qbits: int):
+def _build_offset(p: SortedPartition):
     c = binsearch.offset_constants(p.n_intervals)
     # The range size halves deterministically, so the whole size sequence
     # is a compile-time constant.
@@ -272,7 +272,7 @@ def _build_offset(p: SortedPartition, qbits: int):
     return c, _compile_kernel(lines, xs=p.values.tolist()), lanes
 
 
-def _build_eytzinger(p: SortedPartition, qbits: int):
+def _build_eytzinger(p: SortedPartition):
     lay = eytzinger.build_layout(p)
     top, n = lay.top, p.n_intervals
     # 0-based descent over the stored levels: p <- 2p + 1 + [z >= tree[p]];
@@ -339,7 +339,7 @@ def _direct_scalar(idx: direct.DirectIndex, xs: np.ndarray) -> Callable:
     same way, which saves a boxed copy of both at set-up.  The other
     comparison scalars keep ``tolist()`` copies of their knots, because
     a memoryview slows the small-N scalar speeds that the acceptance
-    suite compares (ROADMAP item 2).
+    suite compares (ROADMAP item 6).
     """
     bucket, h, x0 = _scalar_bucket(idx)
     # z < X_0 never holds, so a read clamped to X_0 never counts.
@@ -355,12 +355,12 @@ def _direct_scalar(idx: direct.DirectIndex, xs: np.ndarray) -> Callable:
     )
 
 
-def _build_direct(p: SortedPartition, qbits: int, q: int):
+def _build_direct(p: SortedPartition, q: int):
     """Gap-q direct kernel: the candidate t = K[f(z)] is corrected by q
     comparisons against X_t .. X_{t-q+1}, read from the knots in place.
     The gathers clip an index below 0 to X_0, which no in-domain query is
     below."""
-    idx, _ = direct.build(p, qbits=qbits, q=q)
+    idx, _ = direct.build(p, q=q)
 
     def step(z, i, f, j, t, v, hit, _h=idx.h, _x0=idx.x0, _k=idx.k, _x=p.values, _q=q):
         _bucket(z, f, j, _h, _x0)
@@ -401,10 +401,10 @@ def _cache_scalar(idx: direct.DirectIndex) -> Callable:
     )
 
 
-def _build_direct_cache(p: SortedPartition, qbits: int):
+def _build_direct_cache(p: SortedPartition):
     """Gap-1 kernel over fused records: index and knot value in one read,
     by the lanes and by the scalar."""
-    idx, _ = direct.build(p, qbits=qbits, fused=True)
+    idx, _ = direct.build(p, fused=True)
 
     def step(z, i, f, j, rec, hit, _h=idx.h, _x0=idx.x0, _f=idx.fused):
         _bucket(z, f, j, _h, _x0)
@@ -432,7 +432,7 @@ _BUILDERS = {
 ALGORITHMS = tuple(_BUILDERS)
 
 
-def prepare(algorithm: str, p: SortedPartition, qbits: int = 32) -> PreparedKernel:
+def prepare(algorithm: str, p: SortedPartition) -> PreparedKernel:
     """Build the search structure for ``algorithm`` and wrap its kernels.
 
     Direct-family preparation propagates NotDistinguishable/Overflow from
@@ -440,7 +440,7 @@ def prepare(algorithm: str, p: SortedPartition, qbits: int = 32) -> PreparedKern
     """
     if algorithm not in _BUILDERS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick one of {ALGORITHMS}")
-    return PreparedKernel(algorithm, p, *_BUILDERS[algorithm](p, qbits))
+    return PreparedKernel(algorithm, p, *_BUILDERS[algorithm](p))
 
 
 def resolve_threads(threads: int | None) -> int:

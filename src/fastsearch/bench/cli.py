@@ -88,7 +88,6 @@ def _build_bench_parser() -> _Parser:
     tp.add_argument("--format", choices=("csv", "md"), default="csv")
     tp.add_argument("--gap-lo", type=float, default=1.0)
     tp.add_argument("--gap-hi", type=float, default=5.0)
-    tp.add_argument("--qbits", type=int, choices=(32, 64), default=32)
     tp.add_argument("--threads", type=int, default=None,
                     help="batch worker threads (default: FASTSEARCH_THREADS or 1)")
     tp.add_argument("--min-time", type=float, default=0.1,
@@ -119,7 +118,6 @@ def bench_main(argv=None) -> int:
                 repetitions=args.reps,
                 gap_lo=args.gap_lo,
                 gap_hi=args.gap_hi,
-                qbits=args.qbits,
                 threads=args.threads,
                 min_time=args.min_time,
             )
@@ -162,7 +160,6 @@ def _build_index_parser() -> _Parser:
     sv.add_argument("--partition", required=True, help="file with one knot per line")
     sv.add_argument("--precision", choices=("single", "double"), default="double")
     sv.add_argument("--gap", type=int, default=1)
-    sv.add_argument("--qbits", type=int, choices=(32, 64), default=32)
 
     ld = sub.add_parser("load", help="load an index, print a summary, optionally verify")
     ld.add_argument("--path", required=True)
@@ -176,7 +173,7 @@ def _build_index_parser() -> _Parser:
 def _summarize(idx) -> str:
     k_bytes = idx.table.nbytes
     return (
-        f"precision={idx.precision} gap={idx.q} qbits={idx.qbits} "
+        f"precision={idx.precision} gap={idx.q} "
         f"n={idx.n} r={idx.r} h={float(idx.h)!r} x0={float(idx.x0)!r} "
         f"table_bytes={k_bytes}"
     )
@@ -187,7 +184,7 @@ def index_main(argv=None) -> int:
     try:
         if args.command == "save":
             p = read_partition_file(args.partition, args.precision)
-            idx, stats = build(p, qbits=args.qbits, q=args.gap)
+            idx, stats = build(p, q=args.gap)
             written = persist.save_index(idx, args.path)
             print(f"wrote {written} bytes to {args.path}")
             print(_summarize(idx))

@@ -114,7 +114,6 @@ def run_throughput(
     repetitions: int = 5,
     gap_lo: float = 1.0,
     gap_hi: float = 5.0,
-    qbits: int = 32,
     threads: int | None = None,
     min_time: float = 0.1,
 ) -> ThroughputReport:
@@ -146,7 +145,7 @@ def run_throughput(
             out = np.empty(queries, dtype=np.int64)
             for algorithm in algorithms:
                 try:
-                    prep = prepare(algorithm, p, qbits=qbits)
+                    prep = prepare(algorithm, p)
                 except InfeasibleError as exc:
                     skipped.append(
                         InfeasibleSkipped(algorithm, size, precision, repr(exc))
@@ -187,7 +186,6 @@ def run_setup_stats(
     seed: int = 42,
     gap_lo: float = 1.0,
     gap_hi: float = 5.0,
-    qbits: int = 32,
 ) -> SetupStatsReport:
     """Distribution of growth-loop increments and per-element setup time.
 
@@ -211,8 +209,8 @@ def run_setup_stats(
             )
             t0 = time.perf_counter_ns()
             try:
-                h, r, stats = compute_h_r(p, qbits=qbits, q=1)
-                build_index(p, h, r, q=1, qbits=qbits)
+                h, r, stats = compute_h_r(p, q=1)
+                build_index(p, h, r, q=1)
             except InfeasibleError:
                 failed += 1
                 continue

@@ -8,7 +8,7 @@ offset    size   field
 0         8      magic ``FBSIDX1\\0``
 8         2      format version (u16, currently 1)
 10        1      precision (u8: 0 = single, 1 = double)
-11        1      bucket-index bit width qbits (u8: 32 or 64)
+11        1      qbits (u8): written as 32; 32 or 64 accepted
 12        1      gap q (u8)
 13        3      reserved, zero
 16        8      N, interval count (u64)
@@ -54,7 +54,7 @@ def save_index(idx: DirectIndex, path) -> int:
         MAGIC,
         VERSION,
         _PRECISION_CODE[idx.precision],
-        idx.qbits,
+        32,  # qbits: K entries are 32-bit
         idx.q,
         b"\0\0\0",
         idx.n,
@@ -122,7 +122,6 @@ def load_index(path) -> DirectIndex:
         r=int(r),
         q=int(gap),
         k=k,
-        qbits=int(qbits),
         n=int(n),
         precision=precision,
     )

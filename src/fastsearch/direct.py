@@ -23,7 +23,8 @@ gap-q offset difference, the scale factor H is grown by exponentially
 doubling ulp-scale increments until every truncated product pair
 floor(H*D_{i+q}) > floor(H*D_i) holds, where D_i is the rounded offset
 X_i - X_0.  Arrays whose rounded offsets collide (NotDistinguishable) or
-whose bucket count cannot fit in ``qbits`` bits (Overflow) are rejected.
+whose table would hold more buckets than ``_max_buckets(N)`` (Overflow)
+are rejected before any table is allocated.
 
 Certification and the table fill walk the knots in fixed windows and
 chunks with scratch buffers allocated once per call, so set-up allocates
@@ -40,7 +41,7 @@ from math import ceil
 import numpy as np
 
 from .errors import NotDistinguishable, Overflow
-from .partition import ROUNDOFF, SortedPartition, check_domain
+from .partition import SortedPartition, check_domain
 
 #: Table-entry width is fixed at 32-bit unsigned; construction refuses larger N.
 K_DTYPE = np.uint32
@@ -57,6 +58,15 @@ _CHUNK = 1 << 12
 #: 3.3 ms over 2**13.  At 2**14 it gained little more, and the rebuild
 #: workload's resident set grew 6% (sweep in CHANGES.md).
 _WINDOW = 1 << 13
+
+
+def _max_buckets(n: int) -> int:
+    """The most buckets (R + 1) a table over n intervals may hold: 32 a
+    knot, at least 2**22 and at most 2**32 (a K entry's range).  R / N
+    stays under 13 from N = 4096 up in every table the tests and the
+    benchmark build (counts in CHANGES.md)."""
+    return min(1 << 32, max(1 << 22, 32 * (n + 1)))
+
 
 _TWO52 = 2.0 ** 52
 _TWO52_BITS = int(np.float64(_TWO52).view(np.int64))
@@ -79,14 +89,6 @@ class HGrowthStats:
 
 
 @dataclass(frozen=True)
-class FeasibilityReport:
-    feasible: bool
-    margin: float
-    ratio: float
-    threshold: float
-
-
-@dataclass(frozen=True)
 class DirectIndex:
     """Immutable bucket index enabling O(1) lower-bound search.
 
@@ -101,7 +103,6 @@ class DirectIndex:
     r: int
     q: int
     k: np.ndarray | None
-    qbits: int
     n: int
     precision: str
     fused: np.ndarray | None = None
@@ -110,44 +111,6 @@ class DirectIndex:
     def table(self) -> np.ndarray:
         """K: ``k``, or the ``idx`` field of the fused records."""
         return self.k if self.k is not None else self.fused["idx"]
-
-
-def feasibility_threshold(precision: str, qbits: int) -> float:
-    """Applicability cutoff for min-gap / span, by precision and bucket width.
-
-    The supported configurations use fixed cutoffs: 2^-23 (single,
-    32-bit), 2^-32 (double, 32-bit) and 2^-51 (double, 64-bit); other
-    combinations fall back to max(2^-qbits, twice the round-off error).
-    """
-    table = {
-        ("single", 32): 2.0 ** -23,
-        ("double", 32): 2.0 ** -32,
-        ("double", 64): 2.0 ** -51,
-    }
-    try:
-        return table[(precision, qbits)]
-    except KeyError:
-        return max(2.0 ** -qbits, 2.0 * ROUNDOFF[precision])
-
-
-def feasibility_estimate(
-    p: SortedPartition, qbits: int = 32, q: int = 1
-) -> FeasibilityReport:
-    """Advisory predicate: is the layout roughly amenable to a direct index?
-
-    Compares the smallest gap-q spacing against the span.  Construction
-    performs the exact checks; this estimate only predicts them.
-    """
-    xs = p.values.astype(np.float64)
-    basis = min(q, p.n_intervals)  # as in compute_h_r: q > N is vacuous
-    ratio = float((xs[basis:] - xs[:-basis]).min() / (xs[-1] - xs[0]))
-    threshold = feasibility_threshold(p.precision, qbits)
-    return FeasibilityReport(
-        feasible=ratio > threshold,
-        margin=ratio / threshold,
-        ratio=ratio,
-        threshold=threshold,
-    )
 
 
 def closed_form_h_r(p: SortedPartition, q: int = 1) -> tuple[float, int]:
@@ -170,13 +133,14 @@ def _floors(x, x0, h, out):
     return np.floor(out, out=out)
 
 
-def compute_h_r(p: SortedPartition, qbits: int = 32, q: int = 1):
+def compute_h_r(p: SortedPartition, q: int = 1):
     """Certified scale factor and bucket count for a direct index.
 
     Returns ``(h, r, HGrowthStats)``.  All arithmetic runs in the
     partition's precision, matching what the search kernel will execute.
     Raises NotDistinguishable when two gap-q offsets round to the same
-    value and Overflow when the bucket count cannot stay below 2**qbits.
+    value and Overflow when its R + 1 buckets would exceed
+    ``_max_buckets(N)``, before anything R-sized is allocated.
 
     The initial guess is the rounded reciprocal of the smallest rounded
     offset step; whenever a truncated pair fails to separate, H grows by
@@ -189,8 +153,6 @@ def compute_h_r(p: SortedPartition, qbits: int = 32, q: int = 1):
     order: the result, and the position any error reports, are those of
     a pass over the whole array.
     """
-    if qbits not in (32, 64):
-        raise ValueError("qbits must be 32 or 64")
     n = p.n_intervals
     if q < 1:
         raise ValueError("gap must be >= 1")
@@ -226,22 +188,25 @@ def compute_h_r(p: SortedPartition, qbits: int = 32, q: int = 1):
                 return False
         return True
 
-    with np.errstate(over="ignore"):
+    limit = _max_buckets(n)
+    span = xs[-1] - x0
+    # inf - inf in the first increment when H is infinite; that H is refused.
+    with np.errstate(over="ignore", invalid="ignore"):
         h = scalar(1.0) / smallest
         h_start = h
-        limit = scalar(2.0 ** qbits)
-        span = xs[-1] - x0
-        if not h * span < limit:
-            raise Overflow(f"floor(H * D_N) >= 2**{qbits} at the initial guess")
-
         growth = np.nextafter(h, scalar(np.inf)) - h
         increments = 0
-        while not separated(h):
+        # R + 1 <= limit exactly when floor(h * span) < limit.  The Python
+        # comparison is exact, and false for an infinite or NaN product.
+        while float(h * span) < limit and not separated(h):
             h = h + growth
             increments += 1
-            if not h * span < limit:
-                raise Overflow(f"floor(H * D_N) >= 2**{qbits} while growing H")
             growth = growth + growth
+        if not float(h * span) < limit:
+            raise Overflow(
+                f"{np.floor(h * span) + 1:.0f} buckets after {increments} "
+                f"growth steps, over the limit of {limit} for N = {n}"
+            )
 
     r = int(np.floor(h * span))
     stats = HGrowthStats(
@@ -250,12 +215,6 @@ def compute_h_r(p: SortedPartition, qbits: int = 32, q: int = 1):
         growth_total=float(h - h_start),
     )
     return h, r, stats
-
-
-def knot_buckets(p: SortedPartition, h) -> np.ndarray:
-    """f evaluated at every knot, as int64, in the partition's precision."""
-    xs = p.values
-    return _floors(xs, xs[0], h, np.empty_like(xs)).astype(np.int64)
 
 
 def _fill_table(k: np.ndarray, xs: np.ndarray, h, q: int) -> None:
@@ -318,7 +277,6 @@ def build_index(
     h,
     r: int,
     q: int = 1,
-    qbits: int = 32,
     fused: bool = False,
 ) -> DirectIndex:
     """Materialize the bucket table K for (h, r) produced by compute_h_r.
@@ -358,20 +316,19 @@ def build_index(
         r=r,
         q=q,
         k=k,
-        qbits=qbits,
         n=n,
         precision=p.precision,
         fused=records,
     )
 
 
-def build(p: SortedPartition, qbits: int = 32, q: int = 1, fused: bool = False):
+def build(p: SortedPartition, q: int = 1, fused: bool = False):
     """One-call construction: compute_h_r then build_index.
 
     Returns (DirectIndex, HGrowthStats).
     """
-    h, r, stats = compute_h_r(p, qbits=qbits, q=q)
-    return build_index(p, h, r, q=q, qbits=qbits, fused=fused), stats
+    h, r, stats = compute_h_r(p, q=q)
+    return build_index(p, h, r, q=q, fused=fused), stats
 
 
 def with_fused(idx: DirectIndex, p: SortedPartition) -> DirectIndex:
@@ -399,20 +356,3 @@ def direct_search(idx: DirectIndex, p: SortedPartition, z) -> int:
     xs = p.values
     t = int(idx.table[int(idx.h * (idx.h.dtype.type(z) - idx.x0))])
     return t - sum(1 for m in range(idx.q) if z < xs[max(t - m, 0)])
-
-
-def minimal_index_bytes(n: int) -> int:
-    """Smallest power-of-two byte width whose range covers index n."""
-    for b in (1, 2, 4, 8):
-        if 2 ** (8 * b) >= n:
-            return b
-    raise ValueError("n exceeds the largest supported entry width")
-
-
-def memory_cost_estimate(p: SortedPartition, b: int | None = None) -> int:
-    """Estimated gap-1 table footprint: ceil(span / min gap) entries of b bytes."""
-    if b is None:
-        b = minimal_index_bytes(p.n_intervals)
-    xs = p.values.astype(np.float64)
-    entries = ceil(float(xs[-1] - xs[0]) / float(np.diff(xs).min()))
-    return entries * b

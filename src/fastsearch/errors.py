@@ -56,7 +56,8 @@ class NotDistinguishable(InfeasibleError):
 
 
 class Overflow(InfeasibleError):
-    """The bucket count would reach 2**qbits; the index cannot be represented."""
+    """The table's R + 1 buckets would exceed its limit: 32 a knot, at
+    least 2**22, at most 2**32.  Raised before anything R-sized exists."""
 
     def __init__(self, message: str = "bucket index would overflow"):
         super().__init__(message)

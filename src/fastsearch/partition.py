@@ -22,9 +22,6 @@ PRECISIONS = ("single", "double")
 
 _DTYPES = {"single": np.float32, "double": np.float64}
 
-# Round-off error bound (half ulp of 1.0): 2^-24 single, 2^-53 double.
-ROUNDOFF = {"single": 2.0 ** -24, "double": 2.0 ** -53}
-
 
 def dtype_of(precision: str) -> np.dtype:
     if precision not in _DTYPES:
@@ -78,22 +75,6 @@ class QueryBatch:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class PaddedPartition:
-    """A partition extended on the right with copies of X_N up to length 2**p.
-
-    ``p`` is the number of bits needed to address index N (1 + floor(log2 N)),
-    and ``probe`` is the leading probe constant 2**floor(log2 N) used by the
-    bit-setting searches.  Every index expressible with p bits is in range,
-    and the padding value X_N compares greater than any valid query.
-    """
-
-    base: SortedPartition
-    padded: np.ndarray
-    p: int
-    probe: int
 
 
 def validate_partition(raw, precision: str | None = None) -> SortedPartition:
@@ -160,15 +141,16 @@ def gen_queries(p: SortedPartition, count: int, seed: int) -> QueryBatch:
     return QueryBatch(values=_frozen(z), precision=p.precision)
 
 
-def pad_right_pow2(p: SortedPartition) -> PaddedPartition:
-    """Right-pad the knots with X_N up to length 2**(1 + floor(log2 N))."""
+def pad_right_pow2(p: SortedPartition) -> np.ndarray:
+    """The knots right-padded with X_N up to length 2**(1 + floor(log2 N)),
+    read-only.  Every index below twice the leading probe of the
+    bit-setting searches is then in range, and the padding value X_N
+    compares greater than any valid query."""
     n = p.n_intervals
     bits = n.bit_length()  # 1 + floor(log2 N)
     padded = np.full(1 << bits, p.values[-1], dtype=p.values.dtype)
     padded[: n + 1] = p.values
-    return PaddedPartition(
-        base=p, padded=_frozen(padded), p=bits, probe=1 << (bits - 1)
-    )
+    return _frozen(padded)
 
 
 def check_domain(p: SortedPartition, z) -> None:

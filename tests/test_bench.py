@@ -1,6 +1,10 @@
+import json
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,7 +102,7 @@ class TestPersistence:
         assert back.precision == idx.precision
         assert back.h == idx.h and back.h.dtype == idx.h.dtype
         assert back.x0 == idx.x0
-        assert (back.r, back.n, back.q, back.qbits) == (idx.r, idx.n, idx.q, idx.qbits)
+        assert (back.r, back.n, back.q) == (idx.r, idx.n, idx.q)
         assert np.array_equal(back.k, idx.k)
 
     def test_worked_index_round_trip(self, tmp_path):
@@ -195,6 +199,30 @@ class TestPersistence:
             path.write_bytes(raw[:cut])
             with pytest.raises(TruncatedFile):
                 load_index(path)
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_header_qbits_byte(self, tmp_path, precision):
+        """Byte 11 is written as 32.  A file declaring 64, as older writers
+        could, loads bit-identically, since the CRC covers only K; any
+        other width is refused."""
+        p, idx = self.make_index(precision)
+        path = tmp_path / "q.idx"
+        save_index(idx, path)
+        raw = bytearray(path.read_bytes())
+        assert raw[11] == 32
+        raw[11] = 64
+        path.write_bytes(bytes(raw))
+        back = load_index(path)
+        assert back.h.tobytes() == idx.h.tobytes() and back.h.dtype == idx.h.dtype
+        assert back.x0.tobytes() == idx.x0.tobytes()
+        assert (back.r, back.n, back.q, back.precision) == (idx.r, idx.n, idx.q, idx.precision)
+        assert back.k.tobytes() == idx.k.tobytes()
+        z = random_queries(p, 500, seed=6).tolist()
+        assert [direct_search(back, p, v) for v in z] == [direct_search(idx, p, v) for v in z]
+        raw[11] = 16
+        path.write_bytes(bytes(raw))
+        with pytest.raises(VersionMismatch):
+            load_index(path)
 
     def test_version_mismatch(self, tmp_path):
         p, idx = self.make_index()
@@ -418,3 +446,17 @@ class TestIndexCli:
         code = index_main(["load", "--path", str(out), "--partition", str(knots)])
         assert code == 3
         assert "bad index file" in capsys.readouterr().err
+
+
+def test_perfbench_rebuild_smoke():
+    """One short traced run of the rebuild workload calls every library
+    entry the benchmark uses, and its answers pass the benchmark's gate."""
+    root = Path(__file__).resolve().parent.parent
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "rebuild",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=root, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    last = json.loads(run.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, last

@@ -23,7 +23,7 @@ from helpers import CountingList, boundary_probes, random_queries
 def all_searchers(p):
     """Name -> callable(z) for the five comparison-based reference loops."""
     xs, n = p.values, p.n_intervals
-    padded = pad_right_pow2(p).padded
+    padded = pad_right_pow2(p)
     probe = probe_constant(n)
     c = offset_constants(n)
     return {
@@ -95,8 +95,7 @@ class TestOracleEquivalence:
         z = random_queries(p, 10_000, seed=size + 1)
         xs = p.values.tolist()
         n = p.n_intervals
-        pp = pad_right_pow2(p)
-        padded = pp.padded.tolist()
+        padded = pad_right_pow2(p).tolist()
         probe = probe_constant(n)
         c = offset_constants(n)
         # classic doubles as the reference here; it is itself oracle-checked above
@@ -120,7 +119,7 @@ class TestIterationCounts:
             guard = CountingList(p.values)
             bitset1_seq(guard, n, probe, float(z))
             assert guard.reads <= expected  # guard may short-circuit the load
-            padded = CountingList(pad_right_pow2(p).padded)
+            padded = CountingList(pad_right_pow2(p))
             bitset2_seq(padded, probe, float(z))
             assert padded.reads == expected
             guard3 = CountingList(p.values)
@@ -151,7 +150,7 @@ class TestProbeBounds:
         p = gen_uniform_gap_partition(size, 1, 5, seed=size)
         n = p.n_intervals
         probe = probe_constant(n)
-        pp = pad_right_pow2(p)
+        padded = pad_right_pow2(p)
         for z in boundary_probes(p):
-            bitset2_seq(CountingList(pp.padded), probe, float(z))
+            bitset2_seq(CountingList(padded), probe, float(z))
             bitset3_seq(CountingList(p.values), n, probe, float(z))

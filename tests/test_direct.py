@@ -11,10 +11,6 @@ from fastsearch.direct import (
     closed_form_h_r,
     compute_h_r,
     direct_search,
-    feasibility_estimate,
-    knot_buckets,
-    memory_cost_estimate,
-    minimal_index_bytes,
     with_fused,
 )
 from fastsearch.errors import NotDistinguishable, OutOfDomain, Overflow
@@ -104,8 +100,6 @@ class TestComputeHR:
     def test_parameter_validation(self):
         p = worked_partition()
         with pytest.raises(ValueError):
-            compute_h_r(p, qbits=16)
-        with pytest.raises(ValueError):
             compute_h_r(p, q=0)
 
     def test_gap_wider_than_interval_count(self):
@@ -162,7 +156,7 @@ class TestBuildIndex:
         p = gen_uniform_gap_partition(size, 1, 5, seed=size)
         h, r, _ = compute_h_r(p)
         idx = build_index(p, h, r)
-        f = knot_buckets(p, h)
+        f = np.floor(h * (p.values - p.values[0])).astype(np.int64)
         assert np.array_equal(idx.k[f], np.arange(size))
 
     def test_k_non_decreasing_with_endpoints(self):
@@ -178,7 +172,7 @@ class TestBuildIndex:
         p = gen_uniform_gap_partition(33, 1, 5, seed=21)
         h, r, _ = compute_h_r(p, q=2)
         idx = build_index(p, h, r, q=2)
-        f = knot_buckets(p, h)
+        f = np.floor(h * (p.values - p.values[0])).astype(np.int64)
         for j in range(r + 1):
             assert idx.k[j] == max(i for i in range(len(f)) if f[i] <= j)
 
@@ -289,49 +283,65 @@ class TestBracketing:
         assert offsets <= allowed
 
 
-class TestFeasibility:
-    def test_thresholds(self):
-        from fastsearch.direct import feasibility_threshold
+class TestTableLimit:
+    """A table may hold R + 1 <= min(2**32, max(2**22, 32 (N + 1)))
+    buckets; a longer one raises Overflow before anything R-sized is
+    allocated."""
 
-        assert feasibility_threshold("single", 32) == 2.0 ** -23
-        assert feasibility_threshold("double", 32) == 2.0 ** -32
-        assert feasibility_threshold("double", 64) == 2.0 ** -51
+    def test_limit_values(self):
+        assert direct._max_buckets(1) == 1 << 22
+        assert direct._max_buckets((1 << 17) - 1) == 1 << 22
+        assert direct._max_buckets(1 << 17) == 32 * ((1 << 17) + 1)
+        assert direct._max_buckets((1 << 27) - 1) == 1 << 32
+        assert direct._max_buckets(1 << 30) == 1 << 32
 
-    def test_margin_example(self):
-        p = validate_partition(np.array([0, 1, 2, 3], dtype=np.float32))
-        rep = feasibility_estimate(p, qbits=32, q=1)
-        assert rep.feasible
-        assert rep.margin == pytest.approx((1 / 3) / 2 ** -23)
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("n", [2, (1 << 18) - 1])
+    def test_last_bucket_count_accepted(self, n, precision):
+        """Unit gaps certify H = 1 and R = floor(X_N): R + 1 at the limit
+        passes and one bucket more is refused, naming both counts."""
+        limit = direct._max_buckets(n)
+        knots = np.arange(n + 1, dtype=np.float64)
+        knots[-1] = limit - 1
+        h, r, _ = compute_h_r(validate_partition(knots, precision))
+        assert (h, r) == (1.0, limit - 1)
+        knots[-1] = limit
+        with pytest.raises(Overflow, match=f"{limit + 1} buckets .* limit of {limit} "):
+            compute_h_r(validate_partition(knots, precision))
 
-    def test_advises_against_colliding_layout(self):
-        p = validate_partition(np.array([-1e9, 0.0, 1.0], dtype=np.float32))
-        assert not feasibility_estimate(p).feasible
-        assert feasibility_estimate(p, q=2).feasible
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_three_knot_table_refused_without_allocating(self, precision):
+        """[0, 2.5e-10, 1] certifies R of about 4.0e9 at gap 1, a 14.9 GiB
+        K under a 2**32 limit; at N = 2 the limit is 2**22.  compute_h_r
+        is asserted first: it allocates nothing R-sized."""
+        p = validate_partition([0.0, 2.5e-10, 1.0], precision)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Overflow, match=f"limit of {1 << 22} for N = 2"):
+                compute_h_r(p)
+            for call in (
+                lambda: build(p),
+                lambda: prepare("direct", p),
+                lambda: prepare("direct-cache", p),
+            ):
+                with pytest.raises(Overflow):
+                    call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
-    def test_gap_wider_than_interval_count(self):
-        """q > N uses the widest stride, as compute_h_r does."""
-        p = validate_partition([0.0, 2.5])
-        rep = feasibility_estimate(p, q=2)
-        assert rep == feasibility_estimate(p, q=1)
-        assert rep.feasible and rep.ratio == 1.0
-
-
-class TestMemoryCost:
-    def test_worked_example(self):
-        assert memory_cost_estimate(worked_partition(), 4) == 24
-
-    def test_minimal_entry_bytes(self):
-        assert minimal_index_bytes(200) == 1
-        assert minimal_index_bytes(70_000) == 4
-        assert minimal_index_bytes(65_536) == 2
-        assert minimal_index_bytes(2 ** 40) == 8
-
-    @pytest.mark.parametrize("size", [15, 255, 4095])
-    def test_estimate_tracks_actual_table(self, size):
-        p = gen_uniform_gap_partition(size, 1, 5, seed=size)
-        idx, _ = build(p)
-        estimate = memory_cost_estimate(p, 4)
-        assert idx.r <= estimate / 4 + 2
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_three_knot_wider_gaps_still_build(self, q, precision):
+        p = validate_partition([0.0, 2.5e-10, 1.0], precision)
+        idx, _ = build(p, q=q)
+        assert idx.r == 1
+        z = boundary_probes(p)
+        want = [linear_scan_oracle(p, v) for v in z]
+        assert [direct_search(idx, p, v) for v in z] == want
+        if q == 2:
+            assert prepare("direct-gap2", p).lanes(z).tolist() == want
 
 
 def repeat_table(p, h, r, q):

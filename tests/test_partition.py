@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fastsearch.binsearch import probe_constant
 from fastsearch.errors import NonFinite, NotStrictlyIncreasing, OutOfDomain, TooShort
 from fastsearch.partition import (
     gen_queries,
@@ -124,21 +125,21 @@ class TestPadding:
     )
     def test_padded_length(self, size, padded_size):
         p = gen_uniform_gap_partition(size, 1, 5, seed=size)
-        pp = pad_right_pow2(p)
-        assert len(pp.padded) == padded_size
+        assert len(pad_right_pow2(p)) == padded_size
 
     def test_prefix_bit_exact_and_padding_value(self):
         p = gen_uniform_gap_partition(9, 1, 5, seed=11)
-        pp = pad_right_pow2(p)
-        assert np.array_equal(pp.padded[:9], p.values)
-        assert np.all(pp.padded[9:] == p.values[-1])
-        assert np.all(np.diff(pp.padded) >= 0)
+        padded = pad_right_pow2(p)
+        assert np.array_equal(padded[:9], p.values)
+        assert np.all(padded[9:] == p.values[-1])
+        assert np.all(np.diff(padded) >= 0)
+        assert not padded.flags.writeable
 
     def test_probe_constant(self):
         p = gen_uniform_gap_partition(15, 1, 5, seed=4)
-        pp = pad_right_pow2(p)
-        assert pp.p == 4
-        assert pp.probe == 8
+        # 14 intervals: 4 bits address index N, and the leading probe is 8.
+        assert len(pad_right_pow2(p)) == 1 << 4
+        assert probe_constant(p.n_intervals) == 8
 
 
 class TestOracle:
