@@ -36,7 +36,6 @@ from .errors import (
 )
 from .eytzinger import EytzingerLayout, build_layout
 from .partition import (
-    QueryBatch,
     SortedPartition,
     gen_queries,
     gen_uniform_gap_partition,
@@ -63,7 +62,6 @@ __all__ = [
     "Overflow",
     "PartitionError",
     "PreparedKernel",
-    "QueryBatch",
     "SortedPartition",
     "TooShort",
     "TruncatedFile",

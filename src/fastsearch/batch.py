@@ -22,7 +22,12 @@ whatever d says.
 
 Each kernel name maps to one builder in a single table.  A builder makes
 the search structure, lists only the tables its own kernel reads, and
-returns the structure with the kernel's scalar and lane forms.
+returns the structure with the kernel's scalar and lane forms.  The
+bit-setting and offset searches share one generator of both forms: each
+is a probe schedule, i += k wherever X[i + k] <= z, and a read rule that
+keeps its scalar's probes in range (bitset1 guards, bitset2 pads, bitset3
+clamps).  The direct family's scalars share one compiler that binds the
+bucket expression of the index's precision.
 
 Queries are converted to the partition's dtype once, at the batch
 boundary, and the domain check runs on the converted values: a batch's
@@ -49,7 +54,7 @@ import numpy as np
 
 from . import binsearch, direct, eytzinger
 from .errors import OutOfDomain
-from .partition import QueryBatch, SortedPartition, pad_right_pow2
+from .partition import SortedPartition, pad_right_pow2
 
 THREADS_ENV = "FASTSEARCH_THREADS"
 
@@ -60,8 +65,10 @@ def _compile_kernel(lines, **bound) -> Callable:
     The fixed-iteration kernels run a probe count that is a pure function
     of N, so their loops can be fully unrolled with every constant inlined;
     that is the same property that makes them lane-parallel.  The unrolled
-    form is bit-identical to the reference ``*_seq`` loops (asserted in the
-    test suite) and roughly twice as fast per query under CPython.
+    form reads the same table entries in the same order as its reference
+    (a ``*_seq`` loop or ``direct_search``), which the test suite asserts
+    read for read for the probe-schedule kernels, and runs roughly twice
+    as fast per query under CPython.
 
     The kernel is popped from its namespace, so the function and the
     tables it binds form no reference cycle and are freed on last use.
@@ -158,118 +165,68 @@ def _build_classic(p: SortedPartition):
     return p, scalar, None
 
 
-def _build_bitset1(p: SortedPartition):
-    n = p.n_intervals
-    probe = binsearch.probe_constant(n)
+def _probe_kernel(table: np.ndarray, steps, test: str, structure):
+    """A fixed-schedule kernel: i += k wherever the read rule accepts
+    r = i + k, for every k in ``steps``.
+
+    The bit-setting and offset searches differ only in their schedule and
+    in how they keep a probe in range, which ``test`` spells out for the
+    scalar over ``xs`` (the table as a list) and r.  The first probe is
+    r = k, since i is still 0.  The lanes read X[min(r, len - 1)] instead:
+    past N that is X_N, which exceeds every in-domain query, so the clip
+    accepts no probe that a guard, a pad or a clamp would refuse.
+    """
     lines = ["i = 0"]
-    k = probe
-    while k:
-        if k == probe:
-            lines.append(f"if {k} < {n} and z >= xs[{k}]: i = {k}")
-        else:
-            lines.append(f"r = i | {k}")
-            lines.append(f"if r < {n} and z >= xs[r]: i = r")
-        k >>= 1
+    for pos, k in enumerate(steps):
+        lines += [f"r = i + {k}" if pos else f"r = {k}", f"if {test}: i = r"]
     lines.append("return i")
 
-    def step(z, i, r, v, hit, within, _xs=p.values, _n=n, _p=probe):
+    def step(z, i, r, v, hit, _t=table, _s=tuple(steps)):
         i[:] = 0
-        k = _p
-        while k:
-            np.less(i, _n - k, out=within)  # i | k < n
-            _take(_xs[k:], i, v)  # X[min(i | k, n)]
+        for k in _s:
+            _take(_t[k:], i, v)  # X[min(i + k, len - 1)]
             np.greater_equal(z, v, out=hit)
-            np.logical_and(hit, within, out=hit)
-            _add_where(i, hit, k, r)  # i | k, bit k being clear
-            k >>= 1
+            _add_where(i, hit, k, r)
 
-    lanes = _blocked(step, np.int64, p.values.dtype, bool, bool)
-    return probe, _compile_kernel(lines, xs=p.values.tolist()), lanes
+    lanes = _blocked(step, np.int64, table.dtype, bool)
+    return structure, _compile_kernel(lines, xs=table.tolist()), lanes
+
+
+def _bits(n: int) -> list[int]:
+    """The bit-setting searches' schedule: 2**floor(log2 N) down to 1.
+    Bit k of i is still clear when k is probed, so i + k is i | k."""
+    probe = binsearch.probe_constant(n)
+    return [probe >> s for s in range(probe.bit_length())]
+
+
+def _build_bitset1(p: SortedPartition):
+    """Guarded: a probe at or past N is refused unread.  The lanes drop
+    the guard: their clipped read of X_N refuses the same probes."""
+    n, bits = p.n_intervals, _bits(p.n_intervals)
+    return _probe_kernel(p.values, bits, f"r < {n} and z >= xs[r]", bits[0])
 
 
 def _build_bitset2(p: SortedPartition):
+    """Padded: every probe lands in the array padded with X_N."""
     padded = pad_right_pow2(p)
-    probe = binsearch.probe_constant(p.n_intervals)
-    lines = ["i = 0"]
-    k = probe
-    while k:
-        if k == probe:
-            lines.append(f"if z >= xs[{k}]: i = {k}")
-        else:
-            lines.append(f"r = i | {k}")
-            lines.append("if z >= xs[r]: i = r")
-        k >>= 1
-    lines.append("return i")
-
-    def step(z, i, r, v, hit, _xs=padded, _p=probe):
-        i[:] = 0
-        k = _p
-        while k:
-            _take(_xs[k:], i, v)  # X[i | k]
-            np.greater_equal(z, v, out=hit)
-            _add_where(i, hit, k, r)  # i | k, bit k being clear
-            k >>= 1
-
-    lanes = _blocked(step, np.int64, padded.dtype, bool)
-    return padded, _compile_kernel(lines, xs=padded.tolist()), lanes
+    return _probe_kernel(padded, _bits(p.n_intervals), "z >= xs[r]", padded)
 
 
 def _build_bitset3(p: SortedPartition):
-    n = p.n_intervals
-    probe = binsearch.probe_constant(n)
-    lines = ["i = 0"]
-    k = probe
-    while k:
-        if k == probe:
-            lines.append(f"if z >= xs[{min(k, n)}]: i = {k}")
-        else:
-            lines.append(f"r = i | {k}")
-            lines.append(f"w = r if r < {n} else {n}")
-            lines.append("if z >= xs[w]: i = r")
-        k >>= 1
-    lines.append("return i")
-
-    def step(z, i, r, v, hit, _xs=p.values, _p=probe):
-        i[:] = 0
-        k = _p
-        while k:
-            _take(_xs[k:], i, v)  # X[min(i | k, n)]
-            np.greater_equal(z, v, out=hit)
-            _add_where(i, hit, k, r)  # i | k, bit k being clear
-            k >>= 1
-
-    lanes = _blocked(step, np.int64, p.values.dtype, bool)
-    return probe, _compile_kernel(lines, xs=p.values.tolist()), lanes
+    """Clamped: a probe past N reads X_N."""
+    n, bits = p.n_intervals, _bits(p.n_intervals)
+    return _probe_kernel(p.values, bits, f"z >= xs[r if r < {n} else {n}]", bits[0])
 
 
 def _build_offset(p: SortedPartition):
+    """The start index F, then the halves of a range size that shrinks
+    deterministically, so the whole schedule is a function of N."""
     c = binsearch.offset_constants(p.n_intervals)
-    # The range size halves deterministically, so the whole size sequence
-    # is a compile-time constant.
-    lines = ["i = 0", f"if z >= xs[{c.F}]: i = {c.F}"]
-    s = c.S
+    steps, s = [c.F], c.S
     for _ in range(c.J):
-        half = s >> 1
-        lines.append(f"f = i + {half}")
-        lines.append("if z >= xs[f]: i = f")
-        s -= half
-    lines.append("return i")
-
-    def step(z, i, f, v, hit, _xs=p.values, _c=c):
-        # The range size is data-independent, so it stays a plain int
-        # shared by every lane; only the start index is per-lane state.
-        np.greater_equal(z, _xs[_c.F], out=hit)
-        np.multiply(hit, _c.F, out=i)
-        s = _c.S
-        for _ in range(_c.J):
-            half = s >> 1
-            _take(_xs[half:], i, v)  # X[i + half]
-            np.greater_equal(z, v, out=hit)
-            _add_where(i, hit, half, f)
-            s -= half
-
-    lanes = _blocked(step, np.int64, p.values.dtype, bool)
-    return c, _compile_kernel(lines, xs=p.values.tolist()), lanes
+        steps.append(s >> 1)
+        s -= s >> 1
+    return _probe_kernel(p.values, steps, "z >= xs[r]", c)
 
 
 def _build_eytzinger(p: SortedPartition):
@@ -314,45 +271,32 @@ def _build_eytzinger(p: SortedPartition):
     return lay, scalar, lanes
 
 
-def _scalar_bucket(idx: direct.DirectIndex):
-    """The direct scalars' bucket expression, with the h and x0 it binds.
+def _direct_scalar(idx: direct.DirectIndex, lines, **tables) -> Callable:
+    """Compile a direct scalar from ``lines``, in which ``{bucket}``
+    stands for the bucket of z, over memoryviews of ``tables``.
 
     The bucket is computed in the index's own precision: on Python floats
     for double (binary64, identical to the lanes bit for bit), and on
     genuine float32 numpy scalars for single.
+
+    The memoryviews read the index's own arrays, and their items come
+    out as Python ints and floats.  Unlike ``tolist()`` copies, which box
+    every entry in its own object, they add no memory and keep a random
+    lookup to one compact table row: at N = 2**16 the gap-q kernel runs
+    about 1.5x as fast, at 2**20 about 1.9x.  The eytzinger scalar reads
+    its stored tree levels and the knots the same way, which saves a
+    boxed copy of both at set-up.  The probe-schedule scalars keep
+    ``tolist()`` copies of their knots, because a memoryview slows the
+    small-N scalar speeds that the acceptance suite compares (ROADMAP
+    item 6).
     """
     if idx.precision == "single":
-        return "int(h * (f32(z) - x0))", idx.h, idx.x0
-    return "int(h * (z - x0))", float(idx.h), float(idx.x0)
-
-
-def _direct_scalar(idx: direct.DirectIndex, xs: np.ndarray) -> Callable:
-    """Gap-q scalar: one bucket read, then q comparisons against X_t ..
-    X_{t-q+1}, each index below 0 clamped to X_0.
-
-    K and the knots are read through memoryviews of the index's own
-    arrays, whose items come out as Python ints and floats.  Unlike
-    ``tolist()`` copies, which box every entry in its own object, they
-    add no memory and keep a random lookup to one compact table row: at
-    N = 2**16 the kernel runs about 1.5x as fast, at 2**20 about 1.9x.
-    The eytzinger scalar reads its stored tree levels and the knots the
-    same way, which saves a boxed copy of both at set-up.  The other
-    comparison scalars keep ``tolist()`` copies of their knots, because
-    a memoryview slows the small-N scalar speeds that the acceptance
-    suite compares (ROADMAP item 6).
-    """
-    bucket, h, x0 = _scalar_bucket(idx)
-    # z < X_0 never holds, so a read clamped to X_0 never counts.
-    hits = "".join(f" - (z < xs[t - {m} if t > {m} else 0])" for m in range(1, idx.q))
-    lines = [f"t = k[{bucket}]", "return t - (z < xs[t])" + hits]
-    return _compile_kernel(
-        lines,
-        k=memoryview(idx.k),
-        xs=memoryview(xs),
-        h=h,
-        x0=x0,
-        f32=np.float32,
-    )
+        bucket, h, x0 = "int(h * (f32(z) - x0))", idx.h, idx.x0
+    else:
+        bucket, h, x0 = "int(h * (z - x0))", float(idx.h), float(idx.x0)
+    views = {name: memoryview(t) for name, t in tables.items()}
+    lines = [ln.format(bucket=bucket) for ln in lines]
+    return _compile_kernel(lines, **views, h=h, x0=x0, f32=np.float32)
 
 
 def _build_direct(p: SortedPartition, q: int):
@@ -375,30 +319,13 @@ def _build_direct(p: SortedPartition, q: int):
             np.less(z, v, out=hit)
             np.subtract(i, hit, out=i)
 
+    # The scalar compares X_t .. X_{t-q+1}, each index below 0 clamped to
+    # X_0; z < X_0 never holds, so a read clamped to X_0 never counts.
+    hits = "".join(f" - (z < xs[t - {m} if t > {m} else 0])" for m in range(1, q))
+    lines = ["t = k[{bucket}]", "return t - (z < xs[t])" + hits]
     dt = p.values.dtype
     lanes = _blocked(step, dt, np.int64, idx.k.dtype, dt, bool)
-    return idx, _direct_scalar(idx, p.values), lanes
-
-
-def _cache_scalar(idx: direct.DirectIndex) -> Callable:
-    """Gap-1 scalar over the fused records: the bucket's knot index and
-    value come from one record, read through uint32 and float memoryviews
-    of the records' own buffer, as the lanes read them."""
-    rec = idx.fused
-    vtype, offset = rec.dtype.fields["val"][:2]
-    # Record j's index is word k[j * ks]; its value is v[j * vs + vo].
-    ks = rec.itemsize // 4
-    vs, vo = rec.itemsize // vtype.itemsize, offset // vtype.itemsize
-    bucket, h, x0 = _scalar_bucket(idx)
-    lines = [f"j = {bucket}", f"return k[{ks} * j] - (z < v[{vs} * j + {vo}])"]
-    return _compile_kernel(
-        lines,
-        k=memoryview(rec.view(np.uint32)),
-        v=memoryview(rec.view(vtype)),
-        h=h,
-        x0=x0,
-        f32=np.float32,
-    )
+    return idx, _direct_scalar(idx, lines, k=idx.k, xs=p.values), lanes
 
 
 def _build_direct_cache(p: SortedPartition):
@@ -412,9 +339,17 @@ def _build_direct_cache(p: SortedPartition):
         np.less(z, rec["val"], out=hit)
         np.subtract(rec["idx"], hit, out=i)
 
+    # The scalar reads record j's index as word k[j * ks] and its value
+    # as v[j * vs + vo], through views of the records' own buffer.
+    rec = idx.fused
+    vtype, offset = rec.dtype.fields["val"][:2]
+    ks = rec.itemsize // 4
+    vs, vo = rec.itemsize // vtype.itemsize, offset // vtype.itemsize
+    lines = ["j = {bucket}", f"return k[{ks} * j] - (z < v[{vs} * j + {vo}])"]
+    scalar = _direct_scalar(idx, lines, k=rec.view(np.uint32), v=rec.view(vtype))
     dt = p.values.dtype
-    lanes = _blocked(step, dt, np.int64, idx.fused.dtype, bool)
-    return idx, _cache_scalar(idx), lanes
+    lanes = _blocked(step, dt, np.int64, rec.dtype, bool)
+    return idx, scalar, lanes
 
 
 _BUILDERS = {
@@ -477,7 +412,7 @@ def run_batch(
 ) -> np.ndarray:
     """Resolve every query; returns ``out``, where out[j] answers query j.
 
-    ``queries`` is a 1-D array, sequence or QueryBatch.  It is converted
+    ``queries`` is a 1-D array or sequence.  It is converted
     once to the partition's dtype, and the answers are for those rounded
     values, independent of the lane width d and the thread count.
     ``out``, when given, must be an int64 array with one entry per query;
@@ -488,7 +423,7 @@ def run_batch(
     """
     if d < 1:
         raise ValueError("lane width must be >= 1")
-    z = np.asarray(queries.values if isinstance(queries, QueryBatch) else queries)
+    z = np.asarray(queries)
     if z.ndim != 1:
         raise ValueError(f"queries must be 1-D, got {z.ndim} dimensions")
     xs = prepared.partition.values

@@ -207,8 +207,8 @@ def index_main(argv=None) -> int:
                       f"past N = {idx.n}", file=sys.stderr)
                 return EXIT_IO
             queries = gen_queries(p, args.verify_queries, seed=args.seed)
-            want = linear_scan_oracle_batch(p, queries.values)
-            got = [direct_search(idx, p, z) for z in queries.values.tolist()]
+            want = linear_scan_oracle_batch(p, queries)
+            got = [direct_search(idx, p, z) for z in queries.tolist()]
             if got != want.tolist():
                 print("index: error: loaded index disagrees with the oracle",
                       file=sys.stderr)

@@ -85,7 +85,7 @@ def aligned_empty(count: int, dtype, boundary: int = 32) -> np.ndarray:
 
 def _aligned_queries(p, count: int, seed: int) -> np.ndarray:
     out = aligned_empty(count, p.values.dtype)
-    out[:] = gen_queries(p, count, seed).values
+    out[:] = gen_queries(p, count, seed)
     return out
 
 

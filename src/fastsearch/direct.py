@@ -84,7 +84,6 @@ class HGrowthStats:
     """How often and how far the scale factor grew past its initial guess."""
 
     increments: int
-    final_h: float
     growth_total: float
 
 
@@ -211,7 +210,6 @@ def compute_h_r(p: SortedPartition, q: int = 1):
     r = int(np.floor(h * span))
     stats = HGrowthStats(
         increments=increments,
-        final_h=float(h),
         growth_total=float(h - h_start),
     )
     return h, r, stats
@@ -286,11 +284,17 @@ def build_index(
     chunk from the knots (see ``_fill_table``), so the build allocates no
     N- or R-sized temporary.  With ``fused`` (gap 1 only) it allocates
     only the (index, knot value) records and fills their ``idx`` field
-    as K; the returned index's ``k`` is then None.
+    as K; the returned index's ``k`` is then None.  Raises Overflow, before
+    allocating anything, when R + 1 exceeds ``_max_buckets(N)``.
     """
     n = p.n_intervals
     if n >= 2 ** 32:
         raise ValueError("table entries are 32-bit; partition is too large")
+    if r + 1 > _max_buckets(n):
+        raise Overflow(
+            f"{r + 1} buckets for the given (h, r), over the limit of "
+            f"{_max_buckets(n)} for N = {n}"
+        )
     xs = p.values
     if _floors(xs[-1:], xs[0], h, np.empty(1, xs.dtype)).astype(np.int64)[0] != r:
         raise ValueError("(h, r) pair is inconsistent with this partition")

@@ -1,4 +1,4 @@
-"""Sorted partitions, query batches, and the linear-scan reference oracle.
+"""Sorted partitions, query generators, and the linear-scan reference oracle.
 
 A partition is a strictly increasing array X of N+1 floating point knots
 (single or double precision) defining N half-open intervals [X_i, X_{i+1}).
@@ -66,17 +66,6 @@ class SortedPartition:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class QueryBatch:
-    """Array of M query values, same precision as the partition it targets."""
-
-    values: np.ndarray
-    precision: str
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def validate_partition(raw, precision: str | None = None) -> SortedPartition:
     """Wrap ``raw`` as a SortedPartition, enforcing the type invariants.
 
@@ -128,8 +117,9 @@ def gen_uniform_gap_partition(
     return validate_partition(knots.astype(dtype_of(precision)), precision)
 
 
-def gen_queries(p: SortedPartition, count: int, seed: int) -> QueryBatch:
-    """Random queries uniform in [X_0, X_N); PCG64, bit-reproducible per seed."""
+def gen_queries(p: SortedPartition, count: int, seed: int) -> np.ndarray:
+    """Random queries uniform in [X_0, X_N), read-only, in the partition's
+    dtype; PCG64, bit-reproducible per seed."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
@@ -138,7 +128,7 @@ def gen_queries(p: SortedPartition, count: int, seed: int) -> QueryBatch:
     # Casting can round a draw up onto X_N; pull those back inside the domain.
     top = dtype.type(p.xn)
     z[z >= top] = np.nextafter(top, dtype.type(-np.inf))
-    return QueryBatch(values=_frozen(z), precision=p.precision)
+    return _frozen(z)
 
 
 def pad_right_pow2(p: SortedPartition) -> np.ndarray:

@@ -8,20 +8,25 @@ from fastsearch.partition import SortedPartition, gen_queries
 
 
 class CountingList:
-    """List wrapper that counts reads and rejects out-of-range indices.
+    """List wrapper that records reads and rejects out-of-range indices.
 
+    ``served`` lists the indices read, in order; ``reads`` counts them.
     Negative indices are rejected too, so accidental Python-style
     wraparound in a kernel shows up as a failure instead of a wrong answer.
     """
 
     def __init__(self, data):
         self.data = list(data)
-        self.reads = 0
+        self.served = []
+
+    @property
+    def reads(self):
+        return len(self.served)
 
     def __getitem__(self, i):
         if not 0 <= i < len(self.data):
             raise IndexError(f"probe index {i} outside [0, {len(self.data)})")
-        self.reads += 1
+        self.served.append(i)
         return self.data[i]
 
     def __len__(self):
@@ -41,4 +46,4 @@ def boundary_probes(p: SortedPartition) -> np.ndarray:
 
 def random_queries(p: SortedPartition, count: int, seed: int) -> np.ndarray:
     """Uniform in-domain queries in the partition's dtype (read-only)."""
-    return gen_queries(p, count, seed).values
+    return gen_queries(p, count, seed)

@@ -6,16 +6,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fastsearch import batch, eytzinger
+from fastsearch import batch, binsearch, eytzinger
 from fastsearch.batch import ALGORITHMS, prepare, resolve_threads, run_batch
 from fastsearch.errors import OutOfDomain
 from fastsearch.partition import (
-    gen_queries,
     gen_uniform_gap_partition,
+    linear_scan_oracle,
     linear_scan_oracle_batch,
+    pad_right_pow2,
 )
 
-from helpers import random_queries
+from helpers import CountingList, boundary_probes, random_queries
 
 LANE_KERNELS = [a for a in ALGORITHMS if a != "classic"]
 
@@ -106,13 +107,6 @@ class TestBatchContract:
         for out in (np.empty(len(z) - 1, dtype=np.int64), np.empty(len(z), dtype=np.int32)):
             with pytest.raises(ValueError):
                 run_batch(prep, z, d=1, out=out)
-
-    def test_query_batch_type_accepted(self):
-        p = gen_uniform_gap_partition(64, 1, 5, seed=5)
-        qb = gen_queries(p, 333, seed=6)
-        prep = prepare("direct", p)
-        got = run_batch(prep, qb, d=8)
-        assert np.array_equal(got, linear_scan_oracle_batch(p, qb.values))
 
     def test_lane_width_validated(self, workload):
         p, z, _ = workload
@@ -387,7 +381,10 @@ class TestEytzingerTables:
 
 
 class TestEquivalenceMatrix:
-    @pytest.mark.parametrize("size", [15, 255, 4095])
+    # size counts the knots, N + 1.  At 384 and 6144 a third of the answers
+    # take a bit probe past N, which only the lanes' clipped read keeps in
+    # range; at the other sizes here no probe passes N.
+    @pytest.mark.parametrize("size", [15, 255, 256, 257, 384, 4095, 4096, 4097, 6144])
     @pytest.mark.parametrize("precision", ["single", "double"])
     def test_all_kernels_match_oracle(self, size, precision):
         p = gen_uniform_gap_partition(size, 1, 5, seed=size, precision=precision)
@@ -396,3 +393,34 @@ class TestEquivalenceMatrix:
         for algorithm in ALGORITHMS:
             got = run_batch(prepare(algorithm, p), z, d=4)
             assert np.array_equal(got, want), (algorithm, size, precision)
+
+
+class TestProbeScheduleReads:
+    """Each compiled probe-schedule scalar reads exactly the entries its
+    ``*_seq`` reference reads, in the same order, and gives its answer."""
+
+    @staticmethod
+    def reference(algorithm, p):
+        """(table, reference(xs, z)) for one probe-schedule kernel."""
+        n = p.n_intervals
+        probe = binsearch.probe_constant(n)
+        c = binsearch.offset_constants(n)
+        return {
+            "bitset1": (p.values, lambda xs, z: binsearch.bitset1_seq(xs, n, probe, z)),
+            "bitset2": (pad_right_pow2(p), lambda xs, z: binsearch.bitset2_seq(xs, probe, z)),
+            "bitset3": (p.values, lambda xs, z: binsearch.bitset3_seq(xs, n, probe, z)),
+            "offset": (p.values, lambda xs, z: binsearch.offset_seq(xs, c.F, c.S, c.J, z)),
+        }[algorithm]
+
+    @pytest.mark.parametrize("size", [2, 3, 9, 15, 16, 17, 255, 256, 257, 384])
+    @pytest.mark.parametrize("algorithm", ["bitset1", "bitset2", "bitset3", "offset"])
+    def test_scalar_reads_as_reference(self, algorithm, size):
+        p = gen_uniform_gap_partition(size, 1, 5, seed=size)
+        table, seq = self.reference(algorithm, p)
+        table = table.tolist()
+        prep = prepare(algorithm, p)
+        for z in boundary_probes(p).tolist():
+            got, want = CountingList(table), CountingList(table)
+            answer = prep.scalar(z, xs=got)
+            assert answer == seq(want, z) == linear_scan_oracle(p, z), z
+            assert got.served == want.served, z

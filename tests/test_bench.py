@@ -303,10 +303,9 @@ class TestBenchCli:
         code = bench_main(
             [
                 "throughput",
-                "--sizes", "15",
+                "--sizes", "257",
                 "--precision", "double",
-                "--algos", "classic,direct",
-                "--lanes", "1",
+                "--lanes", "1,8",
                 "--queries", "300",
                 "--reps", "2",
                 "--min-time", "0.001",
@@ -317,7 +316,7 @@ class TestBenchCli:
         assert code == 0
         header, *body = out.strip().split("\n")
         assert header.startswith("algorithm,precision")
-        assert len(body) == 2
+        assert len(body) == 18  # nine kernels at two lane widths
 
     def test_setup_stats_md(self, capsys):
         code = bench_main(

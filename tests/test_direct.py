@@ -331,6 +331,20 @@ class TestTableLimit:
             tracemalloc.stop()
         assert peak < 1 << 20, peak
 
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_build_index_refuses_long_table(self, fused):
+        """A caller's own consistent (h, r) meets the same limit: 2**23 + 1
+        buckets over N = 2, twice the limit, raise before K exists."""
+        p = validate_partition([0.0, 0.5, 1.0])
+        tracemalloc.start()
+        try:
+            with pytest.raises(Overflow, match=f"{(1 << 23) + 1} buckets .* limit of {1 << 22} "):
+                build_index(p, np.float64(2.0 ** 23), 1 << 23, fused=fused)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("precision", ["single", "double"])
     def test_three_knot_wider_gaps_still_build(self, q, precision):

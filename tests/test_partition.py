@@ -94,7 +94,16 @@ class TestGenerators:
     def test_queries_in_domain(self):
         p = validate_partition([0.0, 1.0])
         q = gen_queries(p, 1000, seed=5)
-        assert np.all((q.values >= 0.0) & (q.values < 1.0))
+        assert np.all((q >= 0.0) & (q < 1.0))
+
+    def test_queries_read_only_array(self):
+        """gen_queries returns a read-only ndarray in the partition's dtype."""
+        for precision in ("single", "double"):
+            p = gen_uniform_gap_partition(64, 1, 5, seed=5, precision=precision)
+            q = gen_queries(p, 333, seed=6)
+            assert isinstance(q, np.ndarray) and q.shape == (333,)
+            assert q.dtype == p.values.dtype
+            assert not q.flags.writeable
 
     def test_zero_queries_rejected(self):
         p = validate_partition([0.0, 1.0])
@@ -105,16 +114,16 @@ class TestGenerators:
         p = gen_uniform_gap_partition(32, 1, 5, seed=1)
         a = gen_queries(p, 256, seed=8)
         b = gen_queries(p, 256, seed=8)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_query_histogram_flat(self):
         """Counts over equal sub-ranges stay within 3 sigma of multinomial."""
         p = validate_partition([0.0, 1.0])
         q = gen_queries(p, 10 ** 6, seed=2024)
         bins = 20
-        counts, _ = np.histogram(q.values, bins=bins, range=(0.0, 1.0))
-        expected = len(q.values) / bins
-        sigma = np.sqrt(len(q.values) * (1 / bins) * (1 - 1 / bins))
+        counts, _ = np.histogram(q, bins=bins, range=(0.0, 1.0))
+        expected = len(q) / bins
+        sigma = np.sqrt(len(q) * (1 / bins) * (1 - 1 / bins))
         assert np.all(np.abs(counts - expected) <= 3 * sigma)
 
 
