@@ -1,30 +1,3 @@
-"""Benchmark harness: throughput and setup-cost experiments, index
-persistence, and delimited report emission, plus the two CLI entry points
-(``bench`` and ``index``)."""
-
-from .harness import (
-    InfeasibleSkipped,
-    SetupStatsReport,
-    SetupStatsRow,
-    ThroughputReport,
-    ThroughputRow,
-    aligned_empty,
-    run_setup_stats,
-    run_throughput,
-)
-from .persist import load_index, save_index
-from .report import emit_report
-
-__all__ = [
-    "InfeasibleSkipped",
-    "SetupStatsReport",
-    "SetupStatsRow",
-    "ThroughputReport",
-    "ThroughputRow",
-    "aligned_empty",
-    "emit_report",
-    "load_index",
-    "run_setup_stats",
-    "run_throughput",
-    "save_index",
-]
+"""Benchmark harness: throughput and setup-cost experiments (``harness``),
+index persistence (``persist``), delimited report emission (``report``),
+and the two CLI entry points ``bench`` and ``index`` (``cli``)."""

@@ -77,30 +77,28 @@ def _build_bench_parser() -> _Parser:
     parser = _Parser(prog="bench", description="Sorted-array search benchmarks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    tp = sub.add_parser("throughput", help="time search kernels")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--precision", choices=("single", "double"), default="single")
+    common.add_argument("--seed", type=int, default=42)
+    common.add_argument("--format", choices=("csv", "md"), default="csv")
+    common.add_argument("--gap-lo", type=float, default=1.0)
+    common.add_argument("--gap-hi", type=float, default=5.0)
+
+    tp = sub.add_parser("throughput", parents=[common], help="time search kernels")
     tp.add_argument("--sizes", type=_csv_ints, default=[15, 255, 4095, 65535, 1048575])
-    tp.add_argument("--precision", choices=("single", "double"), default="single")
     tp.add_argument("--algos", type=_csv_names, default=list(ALGORITHMS))
     tp.add_argument("--lanes", type=_csv_ints, default=[1, 4, 8])
     tp.add_argument("--queries", type=int, default=1 << 20)
-    tp.add_argument("--seed", type=int, default=42)
     tp.add_argument("--reps", type=int, default=5)
-    tp.add_argument("--format", choices=("csv", "md"), default="csv")
-    tp.add_argument("--gap-lo", type=float, default=1.0)
-    tp.add_argument("--gap-hi", type=float, default=5.0)
     tp.add_argument("--threads", type=int, default=None,
                     help="batch worker threads (default: FASTSEARCH_THREADS or 1)")
     tp.add_argument("--min-time", type=float, default=0.1,
                     help="minimum seconds of work per measurement")
 
-    st = sub.add_parser("setup-stats", help="direct-index construction statistics")
+    st = sub.add_parser("setup-stats", parents=[common],
+                        help="direct-index construction statistics")
     st.add_argument("--sizes", type=_csv_ints, default=[15, 255, 4095, 65535])
     st.add_argument("--samples", type=int, default=1000)
-    st.add_argument("--precision", choices=("single", "double"), default="single")
-    st.add_argument("--seed", type=int, default=42)
-    st.add_argument("--format", choices=("csv", "md"), default="csv")
-    st.add_argument("--gap-lo", type=float, default=1.0)
-    st.add_argument("--gap-hi", type=float, default=5.0)
     return parser
 
 
@@ -199,13 +197,6 @@ def index_main(argv=None) -> int:
                 print("index: error: partition does not match the index",
                       file=sys.stderr)
                 return EXIT_USAGE
-            # The CRC covers K but not its meaning: an entry past N would
-            # send the search to a knot the partition does not have.
-            largest = int(idx.table.max())
-            if largest > idx.n:
-                print(f"index: bad index file: K holds knot index {largest}, "
-                      f"past N = {idx.n}", file=sys.stderr)
-                return EXIT_IO
             queries = gen_queries(p, args.verify_queries, seed=args.seed)
             want = linear_scan_oracle_batch(p, queries)
             got = [direct_search(idx, p, z) for z in queries.tolist()]

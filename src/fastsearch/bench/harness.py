@@ -1,4 +1,4 @@
-"""Throughput and setup-cost experiment drivers.
+"""Throughput and setup-cost experiment drivers, and the rows they report.
 
 Throughput methodology: per configuration the kernel output is first
 verified against the linear-scan oracle (timing never assumes
@@ -7,12 +7,15 @@ measurement is scaled so each measurement spans at least ``min_time``
 seconds on the monotonic clock, and the reported figure is the median
 over the requested repetitions, converted to million searches per
 second.  Setup cost is excluded: structures are prepared before timing
-starts.
+starts.  The timed queries are the array ``gen_queries`` returns, as is.
 
 Setup-cost methodology: per size, ``samples`` independent partitions are
 generated, and for each one the scale-factor computation plus table
 construction is timed; the report aggregates the growth-loop increment
 count and nanoseconds divided by the array size.
+
+``ThroughputRow`` and ``SetupStatsRow`` declare their reports' columns
+(see :mod:`.report`).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ class ThroughputRow:
     precision: str
     lane_width: int
     size: int
-    throughput_msps: float
+    throughput_msps: float = field(metadata={"digits": 2})
     queries: int
     repetitions: int
 
@@ -58,14 +61,14 @@ class ThroughputReport:
 class SetupStatsRow:
     size: int
     samples: int
-    h_updates_mean: float
-    h_updates_min: float
-    h_updates_max: float
-    h_updates_stdev: float
-    setup_ns_per_elem_mean: float
-    setup_ns_per_elem_min: float
-    setup_ns_per_elem_max: float
-    setup_ns_per_elem_stdev: float
+    h_updates_mean: float = field(metadata={"digits": 4})
+    h_updates_min: float = field(metadata={"digits": 4})
+    h_updates_max: float = field(metadata={"digits": 4})
+    h_updates_stdev: float = field(metadata={"digits": 4})
+    setup_ns_per_elem_mean: float = field(metadata={"digits": 2})
+    setup_ns_per_elem_min: float = field(metadata={"digits": 2})
+    setup_ns_per_elem_max: float = field(metadata={"digits": 2})
+    setup_ns_per_elem_stdev: float = field(metadata={"digits": 2})
 
 
 @dataclass(frozen=True)
@@ -75,18 +78,10 @@ class SetupStatsReport:
     infeasible: dict[int, int] = field(default_factory=dict)
 
 
-def aligned_empty(count: int, dtype, boundary: int = 32) -> np.ndarray:
-    """Uninitialized array whose data pointer sits on ``boundary`` bytes."""
-    itemsize = np.dtype(dtype).itemsize
-    raw = np.empty(count * itemsize + boundary, dtype=np.uint8)
-    offset = (-raw.ctypes.data) % boundary
-    return raw[offset : offset + count * itemsize].view(dtype)
-
-
-def _aligned_queries(p, count: int, seed: int) -> np.ndarray:
-    out = aligned_empty(count, p.values.dtype)
-    out[:] = gen_queries(p, count, seed)
-    return out
+def _spread(values) -> tuple[float, float, float, float]:
+    """(mean, min, max, population stdev) of ``values``."""
+    a = np.asarray(values, dtype=np.float64)
+    return float(a.mean()), float(a.min()), float(a.max()), float(a.std())
 
 
 def _measure(run, repetitions: int, min_time: float) -> float:
@@ -140,7 +135,7 @@ def run_throughput(
             p = gen_uniform_gap_partition(
                 size, gap_lo, gap_hi, seed=int(part_seed), precision=precision
             )
-            z = _aligned_queries(p, queries, int(query_seed))
+            z = gen_queries(p, queries, int(query_seed))
             expected = linear_scan_oracle_batch(p, z)
             out = np.empty(queries, dtype=np.int64)
             for algorithm in algorithms:
@@ -222,16 +217,7 @@ def run_setup_stats(
         if updates:
             rows.append(
                 SetupStatsRow(
-                    size=size,
-                    samples=len(updates),
-                    h_updates_mean=float(np.mean(updates)),
-                    h_updates_min=float(np.min(updates)),
-                    h_updates_max=float(np.max(updates)),
-                    h_updates_stdev=float(np.std(updates)),
-                    setup_ns_per_elem_mean=float(np.mean(per_elem_ns)),
-                    setup_ns_per_elem_min=float(np.min(per_elem_ns)),
-                    setup_ns_per_elem_max=float(np.max(per_elem_ns)),
-                    setup_ns_per_elem_stdev=float(np.std(per_elem_ns)),
+                    size, len(updates), *_spread(updates), *_spread(per_elem_ns)
                 )
             )
     return SetupStatsReport(precision=precision, rows=rows, infeasible=infeasible)

@@ -22,6 +22,9 @@ offset    size   field
 Scale factor and origin travel as raw bit patterns (single-precision
 values widen exactly to binary64), so a round trip reproduces the index
 bit for bit and searches behave identically.
+
+The CRC covers K but not its meaning, so loading also rejects a K entry
+past N, which would send a search to a knot the partition lacks.
 """
 
 from __future__ import annotations
@@ -33,14 +36,21 @@ import zlib
 import numpy as np
 
 from ..direct import DirectIndex, K_DTYPE
-from ..errors import BadMagic, ChecksumMismatch, TruncatedFile, VersionMismatch
+from ..errors import (
+    BadMagic,
+    ChecksumMismatch,
+    IndexFileError,
+    TruncatedFile,
+    VersionMismatch,
+)
+from ..partition import dtype_of
 
 MAGIC = b"FBSIDX1\0"
 VERSION = 1
 
-_HEADER = struct.Struct("<8sHBBB3sQQQQ")
-_PRECISION_CODE = {"single": 0, "double": 1}
-_PRECISION_NAME = {0: "single", 1: "double"}
+#: H and X0 are packed as binary64, which writes their exact bit patterns.
+_HEADER = struct.Struct("<8sHBBB3sQQdd")
+_PRECISIONS = ("single", "double")  # indexed by the precision byte
 #: K entries per write (4 MiB).  A fused index's K, the strided ``idx``
 #: field of its records, is copied one such chunk at a time.
 _WRITE_CHUNK = 1 << 20
@@ -48,19 +58,17 @@ _WRITE_CHUNK = 1 << 20
 
 def save_index(idx: DirectIndex, path) -> int:
     """Write the index to ``path``; returns the byte count written."""
-    h_bits = struct.unpack("<Q", struct.pack("<d", float(idx.h)))[0]
-    x0_bits = struct.unpack("<Q", struct.pack("<d", float(idx.x0)))[0]
     header = _HEADER.pack(
         MAGIC,
         VERSION,
-        _PRECISION_CODE[idx.precision],
+        _PRECISIONS.index(idx.precision),
         32,  # qbits: K entries are 32-bit
         idx.q,
         b"\0\0\0",
         idx.n,
         idx.r,
-        h_bits,
-        x0_bits,
+        float(idx.h),
+        float(idx.x0),
     )
     k = idx.table
     crc = 0
@@ -89,14 +97,14 @@ def load_index(path) -> DirectIndex:
             raise BadMagic(f"{path}: not an index file")
         if len(head) < _HEADER.size:
             raise TruncatedFile(f"{path}: incomplete header")
-        (_, version, prec_code, qbits, gap, _, n, r, h_bits, x0_bits) = (
+        (_, version, prec_code, qbits, gap, _, n, r, h64, x064) = (
             _HEADER.unpack(head)
         )
         if version != VERSION:
             raise VersionMismatch(
                 f"{path}: format version {version}, expected {VERSION}"
             )
-        if prec_code not in _PRECISION_NAME or qbits not in (32, 64) or gap < 1:
+        if prec_code >= len(_PRECISIONS) or qbits not in (32, 64) or gap < 1:
             raise VersionMismatch(f"{path}: unrecognized header fields")
         payload_len = (r + 1) * 4
         if os.fstat(f.fileno()).st_size < _HEADER.size + payload_len + 4:
@@ -109,11 +117,11 @@ def load_index(path) -> DirectIndex:
     (crc_stored,) = struct.unpack("<I", crc)
     if zlib.crc32(payload) != crc_stored:
         raise ChecksumMismatch(f"{path}: K payload corrupted")
+    largest = int(payload.max())
+    if largest > n:
+        raise IndexFileError(f"{path}: K holds knot index {largest}, past N = {n}")
 
-    precision = _PRECISION_NAME[prec_code]
-    dtype = np.float32 if precision == "single" else np.float64
-    (h64,) = struct.unpack("<d", struct.pack("<Q", h_bits))
-    (x064,) = struct.unpack("<d", struct.pack("<Q", x0_bits))
+    dtype = dtype_of(_PRECISIONS[prec_code]).type
     k = payload.astype(K_DTYPE, copy=False)
     k.setflags(write=False)
     return DirectIndex(
@@ -123,5 +131,4 @@ def load_index(path) -> DirectIndex:
         q=int(gap),
         k=k,
         n=int(n),
-        precision=precision,
     )

@@ -1,13 +1,10 @@
 """Delimited report emission for benchmark results.
 
-Column orders are fixed:
-
-* throughput reports:
-  ``algorithm,precision,lane_width,size,throughput_msps,queries,repetitions``
-* setup-stats reports:
-  ``size,samples,h_updates_mean,h_updates_min,h_updates_max,h_updates_stdev,``
-  ``setup_ns_per_elem_mean,setup_ns_per_elem_min,setup_ns_per_elem_max,``
-  ``setup_ns_per_elem_stdev``
+A report's columns are the fields of its row type, in declaration order:
+:class:`~.harness.ThroughputRow` for throughput reports and
+:class:`~.harness.SetupStatsRow` for setup-stats reports.  Strings and
+ints print as they are; a float prints with the digits named in its
+field's metadata.
 
 Rows are emitted in deterministic order: throughput by (algorithm, size,
 precision, lane width), setup stats by size.
@@ -17,83 +14,38 @@ from __future__ import annotations
 
 import csv
 import io
+from dataclasses import fields
 
-THROUGHPUT_COLUMNS = (
-    "algorithm",
-    "precision",
-    "lane_width",
-    "size",
-    "throughput_msps",
-    "queries",
-    "repetitions",
-)
+from .harness import SetupStatsRow, ThroughputRow
 
-SETUP_COLUMNS = (
-    "size",
-    "samples",
-    "h_updates_mean",
-    "h_updates_min",
-    "h_updates_max",
-    "h_updates_stdev",
-    "setup_ns_per_elem_mean",
-    "setup_ns_per_elem_min",
-    "setup_ns_per_elem_max",
-    "setup_ns_per_elem_stdev",
-)
+#: kind -> (row type, sort key)
+_KINDS = {
+    "throughput": (ThroughputRow, lambda r: (r.algorithm, r.size, r.precision, r.lane_width)),
+    "setup": (SetupStatsRow, lambda r: r.size),
+}
 
 
-def _throughput_cells(row):
-    return (
-        row.algorithm,
-        row.precision,
-        str(row.lane_width),
-        str(row.size),
-        f"{row.throughput_msps:.2f}",
-        str(row.queries),
-        str(row.repetitions),
-    )
-
-
-def _setup_cells(row):
-    return (
-        str(row.size),
-        str(row.samples),
-        f"{row.h_updates_mean:.4f}",
-        f"{row.h_updates_min:.4f}",
-        f"{row.h_updates_max:.4f}",
-        f"{row.h_updates_stdev:.4f}",
-        f"{row.setup_ns_per_elem_mean:.2f}",
-        f"{row.setup_ns_per_elem_min:.2f}",
-        f"{row.setup_ns_per_elem_max:.2f}",
-        f"{row.setup_ns_per_elem_stdev:.2f}",
-    )
-
-
-def _normalize(rows, kind):
-    rows = list(rows)
-    if kind is None:
-        if not rows:
-            kind = "throughput"
-        elif hasattr(rows[0], "algorithm"):
-            kind = "throughput"
-        else:
-            kind = "setup"
-    if kind == "throughput":
-        rows.sort(key=lambda r: (r.algorithm, r.size, r.precision, r.lane_width))
-        return THROUGHPUT_COLUMNS, [_throughput_cells(r) for r in rows]
-    if kind == "setup":
-        rows.sort(key=lambda r: r.size)
-        return SETUP_COLUMNS, [_setup_cells(r) for r in rows]
-    raise ValueError(f"unknown report kind {kind!r}")
-
-
-def _escape_md(cell: str) -> str:
-    return cell.replace("|", r"\|")
+def _cell(row, f) -> str:
+    value = getattr(row, f.name)
+    digits = f.metadata.get("digits")
+    return str(value) if digits is None else f"{value:.{digits}f}"
 
 
 def emit_report(rows, fmt: str = "csv", kind: str | None = None) -> str:
-    """Render rows as ``csv`` or ``md`` text; an empty set yields headers only."""
-    header, body = _normalize(rows, kind)
+    """Render rows as ``csv`` or ``md`` text; an empty set yields headers only.
+
+    ``kind`` is ``"throughput"`` or ``"setup"``; when omitted it follows
+    the first row, and an empty set is a throughput report.
+    """
+    rows = list(rows)
+    if kind is None:
+        kind = "setup" if rows and not hasattr(rows[0], "algorithm") else "throughput"
+    if kind not in _KINDS:
+        raise ValueError(f"unknown report kind {kind!r}")
+    row_type, key = _KINDS[kind]
+    columns = fields(row_type)
+    header = [f.name for f in columns]
+    body = [[_cell(r, f) for f in columns] for r in sorted(rows, key=key)]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -106,6 +58,6 @@ def emit_report(rows, fmt: str = "csv", kind: str | None = None) -> str:
             "| " + " | ".join("---" for _ in header) + " |",
         ]
         for cells in body:
-            lines.append("| " + " | ".join(_escape_md(c) for c in cells) + " |")
+            lines.append("| " + " | ".join(c.replace("|", r"\|") for c in cells) + " |")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}; use csv or md")

@@ -41,7 +41,7 @@ from math import ceil
 import numpy as np
 
 from .errors import NotDistinguishable, Overflow
-from .partition import SortedPartition, check_domain
+from .partition import SortedPartition, check_domain, precision_of
 
 #: Table-entry width is fixed at 32-bit unsigned; construction refuses larger N.
 K_DTYPE = np.uint32
@@ -103,8 +103,11 @@ class DirectIndex:
     q: int
     k: np.ndarray | None
     n: int
-    precision: str
     fused: np.ndarray | None = None
+
+    @property
+    def precision(self) -> str:
+        return precision_of(self.x0.dtype)
 
     @property
     def table(self) -> np.ndarray:
@@ -321,7 +324,6 @@ def build_index(
         q=q,
         k=k,
         n=n,
-        precision=p.precision,
         fused=records,
     )
 

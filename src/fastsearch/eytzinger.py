@@ -38,17 +38,16 @@ _LINE = 64
 
 @dataclass(frozen=True)
 class EytzingerLayout:
-    """The top levels of the heap-order tree over the knots of ``source``.
+    """The top levels of the heap-order tree over a partition's knots.
 
     Slot k's children sit at 2k+1 and 2k+2 (0-based).  ``tree`` holds the
     first 2**top - 1 slots of the depth-L tree whose in-order traversal is
     the base partition followed by copies of X_N; the L - top levels below
-    are read from ``source.values``.
+    are read from the partition's ``values``.
     """
 
     tree: np.ndarray
     L: int
-    source: SortedPartition
 
     @property
     def top(self) -> int:
@@ -83,7 +82,7 @@ def build_layout(p: SortedPartition) -> EytzingerLayout:
         row[: len(knots)] = knots
         row[len(knots) :] = xs[-1]
     tree.setflags(write=False)
-    return EytzingerLayout(tree=tree, L=depth, source=p)
+    return EytzingerLayout(tree=tree, L=depth)
 
 
 def eytzinger_seq(tree, xs, depth: int, z) -> int:

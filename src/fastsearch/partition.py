@@ -45,10 +45,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SortedPartition:
-    """Strictly increasing array of N+1 knots plus its precision tag."""
+    """Strictly increasing array of N+1 knots; the precision is their dtype's."""
 
     values: np.ndarray
-    precision: str
+
+    @property
+    def precision(self) -> str:
+        return precision_of(self.values.dtype)
 
     @property
     def n_intervals(self) -> int:
@@ -90,7 +93,7 @@ def validate_partition(raw, precision: str | None = None) -> SortedPartition:
     increasing = values[1:] > values[:-1]
     if not increasing.all():
         raise NotStrictlyIncreasing(int(np.argmin(increasing)) + 1)
-    return SortedPartition(values=_frozen(values), precision=precision)
+    return SortedPartition(values=_frozen(values))
 
 
 def gen_uniform_gap_partition(

@@ -1,9 +1,11 @@
 import json
+import re
 import struct
 import subprocess
 import sys
 import tracemalloc
 import zlib
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,6 @@ from fastsearch.bench.cli import bench_main, index_main
 from fastsearch.bench.harness import (
     SetupStatsRow,
     ThroughputRow,
-    aligned_empty,
     run_setup_stats,
     run_throughput,
 )
@@ -24,6 +25,7 @@ from fastsearch.direct import build, direct_search
 from fastsearch.errors import (
     BadMagic,
     ChecksumMismatch,
+    IndexFileError,
     TruncatedFile,
     VersionMismatch,
 )
@@ -77,13 +79,38 @@ class TestReport:
         assert md.strip().split("\n")[0].startswith("| size |")
 
     def test_setup_rows(self):
+        """h_updates_* cells carry 4 digits, setup_ns_per_elem_* cells 2, in
+        both formats, and the kind follows the first row when omitted."""
         row = SetupStatsRow(255, 100, 0.01, 0.0, 1.0, 0.0995, 150.0, 120.0, 900.0, 40.0)
-        text = emit_report([row], "csv", kind="setup")
-        assert "0.0100,0.0000,1.0000,0.0995,150.00" in text
+        cells = ["255", "100", "0.0100", "0.0000", "1.0000", "0.0995",
+                 "150.00", "120.00", "900.00", "40.00"]
+        for kind in ("setup", None):
+            text = emit_report([row], "csv", kind=kind)
+            assert text.split("\n")[1] == ",".join(cells)
+            text = emit_report([row], "md", kind=kind)
+            assert text.split("\n")[2] == "| " + " | ".join(cells) + " |"
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit_report([], "html")
+        with pytest.raises(ValueError, match="unknown report kind"):
+            emit_report(self.rows(), "csv", kind="latency")
+
+    def test_readme_columns_are_row_fields(self):
+        """README's "Report columns" lines name the row types' fields, in
+        order, once ``name_{a,b}`` is expanded to ``name_a,name_b``."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("### Report columns", 1)[1].split("\n#", 1)[0]
+        listed = dict(re.findall(r"^\* ([\w-]+): `([^`]+)`", section, re.M))
+        expand = lambda m: ",".join(m[1] + s for s in m[2].split(","))
+        columns = {
+            kind: re.sub(r"(\w+)\{([\w,]+)\}", expand, text).split(",")
+            for kind, text in listed.items()
+        }
+        assert columns == {
+            "throughput": [f.name for f in fields(ThroughputRow)],
+            "setup-stats": [f.name for f in fields(SetupStatsRow)],
+        }
 
 
 class TestPersistence:
@@ -224,6 +251,22 @@ class TestPersistence:
         with pytest.raises(VersionMismatch):
             load_index(path)
 
+    def test_k_entry_past_n_rejected(self, tmp_path):
+        """The CRC covers K but not its meaning: a K entry past N under a
+        recomputed CRC fails on load, naming the entry and N, instead of
+        sending direct_search to a knot the partition does not have."""
+        p, idx = self.make_index(size=256)
+        path = tmp_path / "k.idx"
+        save_index(idx, path)
+        raw = bytearray(path.read_bytes())
+        k = np.frombuffer(raw, dtype="<u4", offset=48, count=idx.r + 1).copy()
+        k[len(k) // 2] = 10**6
+        raw[48:-4] = k.tobytes()
+        raw[-4:] = struct.pack("<I", zlib.crc32(k.tobytes()))
+        path.write_bytes(bytes(raw))
+        with pytest.raises(IndexFileError, match="1000000, past N = 255"):
+            load_index(path)
+
     def test_version_mismatch(self, tmp_path):
         p, idx = self.make_index()
         path = tmp_path / "v.idx"
@@ -236,12 +279,6 @@ class TestPersistence:
 
 
 class TestHarness:
-    def test_aligned_allocation(self):
-        for dtype in (np.float32, np.float64):
-            arr = aligned_empty(1000, dtype)
-            assert arr.ctypes.data % 32 == 0
-            assert len(arr) == 1000 and arr.dtype == dtype
-
     def test_throughput_rows_well_formed(self):
         rep = tiny_throughput()
         combos = {(r.algorithm, r.lane_width) for r in rep.rows}
@@ -429,8 +466,8 @@ class TestIndexCli:
         assert "gap=2" in capsys.readouterr().out
 
     def test_tampered_k_entry_is_bad_index(self, tmp_path, capsys):
-        """A K entry past N under a recomputed CRC loads cleanly; checking
-        it against the partition reports a bad index, not a traceback."""
+        """A K entry past N under a recomputed CRC is reported as a bad
+        index file, not a traceback."""
         p = gen_uniform_gap_partition(256, 1, 5, seed=86)
         knots = self.write_partition(tmp_path, p.values.tolist())
         out = tmp_path / "t.idx"
