@@ -33,17 +33,18 @@ Queries are converted to the partition's dtype once, at the batch
 boundary, and the domain check runs on the converted values: a batch's
 answers are those for its queries rounded to the partition's precision.
 
-Batches may additionally be split across worker threads (contiguous
-spans, outputs written disjointly, so out[j] is always query j's
-answer), but only into spans of at least one lane block: a batch too
-small for two such spans runs inline, with no thread pool.  The
-``FASTSEARCH_THREADS`` environment variable supplies the thread count
-when none is passed explicitly; either way the count is capped at the
-machine's CPU count.
+Only the lanes are split across worker threads: the GIL serializes the
+pure-Python scalar, so a batch's scalar part (its ``M mod d`` tail, or
+all of it for ``d = 1`` and ``classic``) runs on the calling thread.
+The lanes split into contiguous spans of at least one lane block, written
+disjointly (out[j] is always query j's answer); a lane part too small for
+two spans runs inline.  ``FASTSEARCH_THREADS`` supplies the thread count
+when none is passed; either way it is capped at the machine's CPU count.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -380,6 +381,7 @@ def prepare(algorithm: str, p: SortedPartition) -> PreparedKernel:
 
 def resolve_threads(threads: int | None) -> int:
     if threads is not None:
+        threads = operator.index(threads)
         if threads < 1:
             raise ValueError("thread count must be >= 1")
         return threads
@@ -392,17 +394,6 @@ def resolve_threads(threads: int | None) -> int:
         raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
 
 
-def _spans(total: int, parts: int, granularity: int):
-    """Split [0, total), a multiple of granularity holding at least parts
-    of them, into parts contiguous spans at granularity bounds."""
-    base, extra = divmod(total // granularity, parts)
-    start = 0
-    for w in range(parts):
-        stop = start + (base + (w < extra)) * granularity
-        yield start, stop
-        start = stop
-
-
 def run_batch(
     prepared: PreparedKernel,
     queries,
@@ -412,18 +403,23 @@ def run_batch(
 ) -> np.ndarray:
     """Resolve every query; returns ``out``, where out[j] answers query j.
 
-    ``queries`` is a 1-D array or sequence.  It is converted
+    ``queries`` is a 1-D array or sequence of real numbers.  It is converted
     once to the partition's dtype, and the answers are for those rounded
     values, independent of the lane width d and the thread count.
     ``out``, when given, must be an int64 array with one entry per query;
-    otherwise a new one is returned.  Raises ValueError for d < 1, input
-    that is not 1-D or a mis-sized or mis-typed ``out``, and OutOfDomain
-    identifying the first converted query outside [X_0, X_N); nothing is
-    written in those cases.
+    otherwise a new one is returned.  Raises TypeError for a non-integer d
+    or thread count, ValueError for either below 1, for queries that are
+    not real or not 1-D and for a mis-sized or mis-typed ``out``, and
+    OutOfDomain identifying the first converted query outside [X_0, X_N);
+    nothing is written in those cases.
     """
+    d = operator.index(d)
     if d < 1:
         raise ValueError("lane width must be >= 1")
+    nthreads = resolve_threads(threads)
     z = np.asarray(queries)
+    if z.dtype.kind not in "biufO":
+        raise ValueError(f"queries must be real numbers, got dtype {z.dtype}")
     if z.ndim != 1:
         raise ValueError(f"queries must be 1-D, got {z.ndim} dimensions")
     xs = prepared.partition.values
@@ -438,30 +434,18 @@ def run_batch(
     if out is None:
         out = np.empty(m, dtype=np.int64)
 
-    nthreads = min(resolve_threads(threads), os.cpu_count() or 1)
-    lane_stop = (m // d) * d if (prepared.lanes is not None and d > 1) else 0
-    # Threads split the lane part (or an all-scalar batch) at multiples of
-    # ``unit`` into spans of at least one lane block each.
-    total, unit = (lane_stop, d) if lane_stop else (m, 1)
-    parts = min(nthreads, total // unit // -(-_BLOCK // unit))
-
-    def run_span(a: int, b: int):
-        if a >= b:
-            return
-        if b <= lane_stop:
-            prepared.lanes(z[a:b], out=out[a:b])
-        else:
-            scalar = prepared.scalar
-            out[a:b] = [scalar(q) for q in z[a:b].tolist()]
-
-    if parts <= 1:
-        run_span(0, lane_stop)
-        run_span(lane_stop, m)
-    else:
-        spans = list(_spans(total, parts, unit))
-        if total < m:
-            spans.append((total, m))
+    # The lanes answer [0, stop); threads split only that part, into spans
+    # of at least one lane block, since the GIL serializes the scalar.
+    lanes, scalar = prepared.lanes, prepared.scalar
+    stop = m - m % d if (lanes is not None and d > 1) else 0
+    parts = min(nthreads, os.cpu_count() or 1, stop // _BLOCK)
+    if parts > 1:
+        cuts = [stop * w // parts for w in range(parts + 1)]
         with ThreadPoolExecutor(max_workers=parts) as pool:
-            for fut in [pool.submit(run_span, a, b) for a, b in spans]:
+            spans = zip(cuts, cuts[1:])
+            for fut in [pool.submit(lanes, z[a:b], out[a:b]) for a, b in spans]:
                 fut.result()
+    elif stop:
+        lanes(z[:stop], out=out[:stop])
+    out[stop:] = [scalar(q) for q in z[stop:].tolist()]
     return out

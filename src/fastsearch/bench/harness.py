@@ -115,8 +115,8 @@ def run_throughput(
     """Time every (algorithm, precision, size, lane width) combination.
 
     Direct-family configurations whose construction is infeasible are
-    recorded as skipped, never fatal.  Every timed configuration is
-    verified against the oracle first.
+    recorded as skipped, never fatal.  Every configuration is checked
+    against the oracle before timing; RuntimeError names its first miss.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -153,11 +153,13 @@ def run_throughput(
                     # Validity gate: check the kernel against the oracle
                     # once per configuration before any timing.
                     run_pass()
-                    mismatches = int(np.count_nonzero(out != expected))
-                    if mismatches:
+                    wrong = np.flatnonzero(out != expected)
+                    if len(wrong):
+                        j = wrong[0]
                         raise RuntimeError(
                             f"{algorithm} d={d} size={size} {precision}: "
-                            f"{mismatches} outputs disagree with the oracle"
+                            f"{len(wrong)} outputs disagree with the oracle, first "
+                            f"query {j} (z={z[j]}): got {out[j]}, want {expected[j]}"
                         )
                     per_pass = _measure(run_pass, repetitions, min_time)
                     rows.append(

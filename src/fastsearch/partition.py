@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, NotStrictlyIncreasing, OutOfDomain, TooShort
+from .errors import NonFinite, NotStrictlyIncreasing, OutOfDomain
+from .errors import PartitionError, TooShort
 
 PRECISIONS = ("single", "double")
 
@@ -72,7 +73,8 @@ class SortedPartition:
 def validate_partition(raw, precision: str | None = None) -> SortedPartition:
     """Wrap ``raw`` as a SortedPartition, enforcing the type invariants.
 
-    Raises TooShort for fewer than two values, NonFinite at the first NaN or
+    Raises PartitionError naming the shape of input that is not 1-D,
+    TooShort for fewer than two values, NonFinite at the first NaN or
     infinity, and NotStrictlyIncreasing at the first i with raw[i-1] >= raw[i].
     Non-array input is converted to the requested precision (double when not
     specified); array input keeps its dtype unless a precision is forced.
@@ -85,7 +87,9 @@ def validate_partition(raw, precision: str | None = None) -> SortedPartition:
     elif precision is None:
         precision = "double"
     values = np.array(raw, dtype=dtype_of(precision))  # copy: never alias caller data
-    if values.ndim != 1 or len(values) < 2:
+    if values.ndim != 1:
+        raise PartitionError(f"a partition must be 1-D, got shape {values.shape}")
+    if len(values) < 2:
         raise TooShort("a partition needs at least two values")
     finite = np.isfinite(values)
     if not finite.all():

@@ -1,4 +1,5 @@
 import gc
+import re
 import tracemalloc
 import weakref
 from types import SimpleNamespace
@@ -111,8 +112,11 @@ class TestBatchContract:
     def test_lane_width_validated(self, workload):
         p, z, _ = workload
         prep = prepare("direct", p)
-        with pytest.raises(ValueError):
-            run_batch(prep, z, d=0)
+        out = np.full(len(z), -1, dtype=np.int64)
+        for d, error in ((0, ValueError), (2.5, TypeError)):
+            with pytest.raises(error, match="lane width|interpreted as an integer"):
+                run_batch(prep, z, d=d, out=out)
+        assert (out == -1).all()
 
     def test_unknown_algorithm(self, workload):
         p, _, _ = workload
@@ -146,8 +150,19 @@ class TestThreads:
         assert resolve_threads(None) == 1
 
     def test_invalid_thread_count(self):
-        with pytest.raises(ValueError):
-            resolve_threads(0)
+        """Counts are checked on every batch, all-scalar ones included,
+        before anything is written."""
+        p = gen_uniform_gap_partition(255, 1, 5, seed=2008)
+        z = random_queries(p, 100, seed=2009)
+        out = np.full(len(z), -1, dtype=np.int64)
+        for threads, error in ((0, ValueError), (2.5, TypeError)):
+            match = "thread count|interpreted as an integer"
+            with pytest.raises(error, match=match):
+                resolve_threads(threads)
+            for algorithm, d in (("classic", 8), ("direct", 1)):
+                with pytest.raises(error, match=match):
+                    run_batch(prepare(algorithm, p), z, d=d, threads=threads, out=out)
+        assert (out == -1).all()
 
     @pytest.mark.parametrize("value", ["many", "2.5", "0x4"])
     def test_non_integer_env_names_variable(self, value, monkeypatch):
@@ -193,25 +208,32 @@ class TestThreads:
         assert np.array_equal(run_batch(prep, z, d=8), want)
         assert recording_executor == [4, 4]
 
-    @pytest.mark.parametrize("algorithm", ["classic", "direct"])
-    def test_small_batch_runs_inline(self, recording_executor, algorithm, monkeypatch):
+    @pytest.mark.parametrize(
+        "algorithm, scalar_d", [("classic", 8), ("direct", 1)], ids=["classic", "direct"]
+    )
+    def test_small_batch_runs_inline(
+        self, recording_executor, algorithm, scalar_d, monkeypatch
+    ):
         """Threads get spans of at least one lane block: a 1003-query call
         builds no pool at any thread count, and its answers are those of
-        the single-threaded call."""
+        the single-threaded call.  Threads split only the lanes, so an
+        all-scalar batch of 3 blocks and 5 queries builds no pool either."""
         monkeypatch.setattr(batch.os, "cpu_count", lambda: 8)
         p = gen_uniform_gap_partition(255, 1, 5, seed=2004)
-        z = random_queries(p, 1003, seed=2005)
+        z = random_queries(p, 3 * batch._BLOCK + 5, seed=2005)
         prep = prepare(algorithm, p)
-        single = run_batch(prep, z, d=8, threads=1)
-        for threads in (2, 3, 5):
-            assert np.array_equal(run_batch(prep, z, d=8, threads=threads), single)
+        for m, d in ((1003, 8), (len(z), scalar_d)):
+            single = run_batch(prep, z[:m], d=d, threads=1)
+            for threads in (2, 3, 5):
+                assert np.array_equal(run_batch(prep, z[:m], d=d, threads=threads), single)
+            assert np.array_equal(single, linear_scan_oracle_batch(p, z[:m]))
         assert recording_executor == []
-        assert np.array_equal(single, linear_scan_oracle_batch(p, z))
 
-    @pytest.mark.parametrize("d", [1, 8])
+    @pytest.mark.parametrize("d", [8])
     def test_spans_hold_at_least_one_block(self, recording_executor, d, monkeypatch):
-        """A batch just short of two blocks runs inline; one of two blocks
-        or more is split, into as many spans as it holds whole blocks."""
+        """A lane part just short of two blocks runs inline; one of two
+        blocks or more is split, into as many spans as it holds whole
+        blocks."""
         monkeypatch.setattr(batch.os, "cpu_count", lambda: 8)
         p = gen_uniform_gap_partition(255, 1, 5, seed=2006)
         block = batch._BLOCK
@@ -255,6 +277,23 @@ class TestQueryConversion:
         z = np.array([p.values[0], np.nextafter(p.values[-1], -np.inf)] * 5)
         got = run_batch(prepare(algorithm, p), z, d=d)
         assert got.tolist() == [0, p.n_intervals - 1] * 5
+
+    @pytest.mark.parametrize(
+        "queries",
+        [[3 + 1j], ["1.5", "2.5"], np.array(["2000-01-01"], dtype="datetime64[D]")],
+        ids=["complex", "str", "datetime64"],
+    )
+    @pytest.mark.parametrize("d", [1, 8])
+    def test_non_real_queries_name_dtype(self, d, queries):
+        """Queries that are not real numbers raise ValueError naming their
+        dtype, before the domain check and before anything is written."""
+        p = gen_uniform_gap_partition(255, 1, 5, seed=2010)
+        dtype = np.asarray(queries).dtype
+        out = np.full(len(queries), -1, dtype=np.int64)
+        with pytest.raises(ValueError, match=re.escape(f"dtype {dtype}")) as exc:
+            run_batch(prepare("direct", p), queries, d=d, out=out)
+        assert not isinstance(exc.value, OutOfDomain)
+        assert (out == -1).all()
 
     @pytest.mark.parametrize("d", [1, 8])
     @pytest.mark.parametrize("algorithm", ALGORITHMS)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fastsearch import batch
 from fastsearch.bench.cli import bench_main, index_main
 from fastsearch.bench.harness import (
     SetupStatsRow,
@@ -295,6 +296,33 @@ class TestHarness:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             tiny_throughput(algorithms=["quantum"])
+
+    def test_oracle_gate_names_first_mismatch(self, monkeypatch):
+        """A kernel whose lanes answer one too high fails the gate, which
+        names the count, the first wrong query, its z and both answers."""
+        build_direct = batch._BUILDERS["direct"]
+
+        def off_by_one(p):
+            structure, scalar, lanes = build_direct(p)
+
+            def wrong_lanes(z, out=None):
+                out = lanes(z, out)
+                out += 1
+                return out
+
+            return structure, scalar, wrong_lanes
+
+        monkeypatch.setitem(batch._BUILDERS, "direct", off_by_one)
+        with pytest.raises(RuntimeError) as exc:
+            tiny_throughput(algorithms=["direct"], d_widths=[4])
+        found = re.fullmatch(
+            r"direct d=4 size=15 double: 500 outputs disagree with the oracle, "
+            r"first query 0 \(z=(\S+)\): got (\d+), want (\d+)",
+            str(exc.value),
+        )
+        assert found, str(exc.value)
+        z, got, want = found.groups()
+        assert 0 <= float(z) and int(got) == int(want) + 1
 
     def test_infeasible_configs_recorded_not_fatal(self):
         # 2**18 knots with gaps up to 1e9 push span/min-gap past 2**32, so

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from fastsearch.binsearch import probe_constant
-from fastsearch.errors import NonFinite, NotStrictlyIncreasing, OutOfDomain, TooShort
+from fastsearch.errors import (
+    NonFinite,
+    NotStrictlyIncreasing,
+    OutOfDomain,
+    PartitionError,
+    TooShort,
+)
 from fastsearch.partition import (
     gen_queries,
     gen_uniform_gap_partition,
@@ -44,6 +50,12 @@ class TestValidate:
     def test_too_short(self):
         with pytest.raises(TooShort):
             validate_partition([1.0])
+
+    def test_column_names_its_shape(self):
+        column = np.arange(1000.0).reshape(1000, 1)
+        with pytest.raises(PartitionError, match=r"shape \(1000, 1\)") as exc:
+            validate_partition(column)
+        assert not isinstance(exc.value, TooShort)
 
     def test_precision_inferred_from_dtype(self):
         p = validate_partition(np.array([0, 1], dtype=np.float32))
