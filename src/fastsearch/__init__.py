@@ -2,23 +2,14 @@
 
 Given a strictly increasing array X of N+1 knots and queries z in
 [X_0, X_N), every algorithm here returns the largest i with X_i <= z.
-The package provides the classical binary search, four branch-free
-fixed-iteration variants (including the cache-friendly heap-order
+The package provides the classical binary search, five branch-free
+fixed-iteration variants (one over the cache-friendly heap-order
 layout), an O(1) bucket-indexed search family with rounding-aware
 certification, lock-step batch execution, and a benchmark CLI.
 """
 
 from .batch import ALGORITHMS, PreparedKernel, prepare, run_batch
-from .direct import (
-    DirectIndex,
-    HGrowthStats,
-    build,
-    build_index,
-    closed_form_h_r,
-    compute_h_r,
-    direct_search,
-    with_fused,
-)
+from .direct import DirectIndex, build, build_index, compute_h_r, with_fused
 from .errors import (
     BadMagic,
     ChecksumMismatch,
@@ -34,12 +25,11 @@ from .errors import (
     TruncatedFile,
     VersionMismatch,
 )
-from .eytzinger import EytzingerLayout, build_layout
+from .eytzinger import build_layout
 from .partition import (
     SortedPartition,
     gen_queries,
     gen_uniform_gap_partition,
-    linear_scan_oracle,
     linear_scan_oracle_batch,
     validate_partition,
 )
@@ -51,8 +41,6 @@ __all__ = [
     "BadMagic",
     "ChecksumMismatch",
     "DirectIndex",
-    "EytzingerLayout",
-    "HGrowthStats",
     "IndexFileError",
     "InfeasibleError",
     "NonFinite",
@@ -68,12 +56,10 @@ __all__ = [
     "VersionMismatch",
     "build",
     "build_index",
-    "closed_form_h_r",
+    "build_layout",
     "compute_h_r",
-    "direct_search",
     "gen_queries",
     "gen_uniform_gap_partition",
-    "linear_scan_oracle",
     "linear_scan_oracle_batch",
     "prepare",
     "run_batch",

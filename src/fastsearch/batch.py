@@ -22,12 +22,14 @@ whatever d says.
 
 Each kernel name maps to one builder in a single table.  A builder makes
 the search structure, lists only the tables its own kernel reads, and
-returns the structure with the kernel's scalar and lane forms.  The
-bit-setting and offset searches share one generator of both forms: each
-is a probe schedule, i += k wherever X[i + k] <= z, and a read rule that
-keeps its scalar's probes in range (bitset1 guards, bitset2 pads, bitset3
-clamps).  The direct family's scalars share one compiler that binds the
-bucket expression of the index's precision.
+returns the structure with the kernel's scalar and lane forms.  The five
+fixed-iteration comparison kernels share one generator of both forms:
+each is a start, a probe schedule, i += k wherever X[i + k] <= z, and a
+read rule that keeps its scalar's probes in range (bitset1 guards,
+bitset2 pads, bitset3 clamps).  The Eytzinger descent is a start over its
+stored tree levels followed by bitset3's schedule over the knots.  The
+direct family's scalars share one compiler that binds the bucket
+expression of the index's precision.
 
 Queries are converted to the partition's dtype once, at the batch
 boundary, and the domain check runs on the converted values: a batch's
@@ -55,7 +57,7 @@ import numpy as np
 
 from . import binsearch, direct, eytzinger
 from .errors import OutOfDomain
-from .partition import SortedPartition, pad_right_pow2
+from .partition import SortedPartition, holds_reals, pad_right_pow2
 
 THREADS_ENV = "FASTSEARCH_THREADS"
 
@@ -67,9 +69,9 @@ def _compile_kernel(lines, **bound) -> Callable:
     of N, so their loops can be fully unrolled with every constant inlined;
     that is the same property that makes them lane-parallel.  The unrolled
     form reads the same table entries in the same order as its reference
-    (a ``*_seq`` loop or ``direct_search``), which the test suite asserts
-    read for read for the probe-schedule kernels, and runs roughly twice
-    as fast per query under CPython.
+    loop, which the test suite asserts read for read for the
+    probe-schedule kernels, and runs roughly twice as fast per query
+    under CPython.
 
     The kernel is popped from its namespace, so the function and the
     tables it binds form no reference cycle and are freed on last use.
@@ -166,31 +168,44 @@ def _build_classic(p: SortedPartition):
     return p, scalar, None
 
 
-def _probe_kernel(table: np.ndarray, steps, test: str, structure):
+def _start_at_zero(z, w, *scratch) -> None:
+    """The lanes' start w = i + 1 for a search that starts at i = 0."""
+    w[:] = 1
+
+
+def _probe_kernel(
+    table, steps, test, structure, head=("i = 0",), start=_start_at_zero, **tables
+):
     """A fixed-schedule kernel: i += k wherever the read rule accepts
     r = i + k, for every k in ``steps``.
 
-    The bit-setting and offset searches differ only in their schedule and
-    in how they keep a probe in range, which ``test`` spells out for the
-    scalar over ``xs`` (the table as a list) and r.  The first probe is
-    r = k, since i is still 0.  The lanes read X[min(r, len - 1)] instead:
-    past N that is X_N, which exceeds every in-domain query, so the clip
-    accepts no probe that a guard, a pad or a clamp would refuse.
+    The comparison kernels differ only in their start, their schedule and
+    how they keep a probe in range, which ``test`` spells out for the
+    scalar over ``xs`` and r.  The scalar sets i in its ``head`` lines and
+    reads ``tables`` (default: ``xs``, the table as a list).  The lanes
+    track w = i + 1, set by ``start(z, w, *scratch)``, and read
+    X[min(w + k - 1, len - 1)]: past N that is X_N, which exceeds every
+    in-domain query, so the clip accepts no probe that a guard, a pad or a
+    clamp would refuse.  Tracking w keeps every index at or above 0, where
+    the clip would turn i = -1 into a read of X_k.
     """
-    lines = ["i = 0"]
-    for pos, k in enumerate(steps):
-        lines += [f"r = i + {k}" if pos else f"r = {k}", f"if {test}: i = r"]
+    lines = list(head)
+    for k in steps:
+        lines += [f"r = i + {k}", f"if {test}: i = r"]
     lines.append("return i")
+    reads = [(table[k - 1 :], k) for k in steps]
 
-    def step(z, i, r, v, hit, _t=table, _s=tuple(steps)):
-        i[:] = 0
-        for k in _s:
-            _take(_t[k:], i, v)  # X[min(i + k, len - 1)]
+    def step(z, w, r, v, hit):
+        start(z, w, r, v, hit)
+        for t, k in reads:
+            _take(t, w, v)  # X[min(w + k - 1, len - 1)]
             np.greater_equal(z, v, out=hit)
-            _add_where(i, hit, k, r)
+            _add_where(w, hit, k, r)
+        np.subtract(w, 1, out=w)
 
     lanes = _blocked(step, np.int64, table.dtype, bool)
-    return structure, _compile_kernel(lines, xs=table.tolist()), lanes
+    scalar = _compile_kernel(lines, **(tables or {"xs": table.tolist()}))
+    return structure, scalar, lanes
 
 
 def _bits(n: int) -> list[int]:
@@ -231,45 +246,35 @@ def _build_offset(p: SortedPartition):
 
 
 def _build_eytzinger(p: SortedPartition):
-    lay = eytzinger.build_layout(p)
-    top, n = lay.top, p.n_intervals
-    # 0-based descent over the stored levels: p <- 2p + 1 + [z >= tree[p]];
-    # afterwards p + 1 - 2**top is the node's offset u in level top.
-    lines = ["p = 0"]
-    for _ in range(top):
-        lines.append("p = p + p + 1 + (z >= t[p])")
-    lines.append(f"w = (p + {1 - (1 << top)}) << {lay.L - top}")
-    # Each knot step reads X[min(w + half - 1, N)] and lands on w + half.
-    for level in range(top, lay.L):
-        half = 1 << (lay.L - level - 1)
-        lines.append(f"r = w + {half - 1}")
-        lines.append(f"if z >= xs[r if r < {n} else {n}]: w = r + 1")
-    lines.append("return w - 1")
+    """The descent over the stored levels is the start; the L - top steps
+    below it are bitset3's clamped schedule 2**(L - top - 1) .. 1 over the
+    knots (see :mod:`fastsearch.eytzinger`)."""
+    lay, n = eytzinger.build_layout(p), p.n_intervals
+    top, below = lay.top, lay.L - lay.top
+    # 0-based descent: p <- 2p + 1 + [z >= tree[p]]; afterwards
+    # p + 1 - 2**top is the node's offset in level top.
+    head = ["p = 0", *["p = p + p + 1 + (z >= t[p])"] * top]
+    head.append(f"i = ((p + {1 - (1 << top)}) << {below}) - 1")
 
-    def step(z, w, r, v, hit, _t=lay.tree, _x=p.values, _top=top, _L=lay.L):
-        # w is the node's offset within its level: level l starts at slot
-        # 2**l - 1, and the children of offset w are offsets 2w and 2w + 1.
+    # w is the node's offset within its level: level l starts at slot
+    # 2**l - 1, and the children of offset w are offsets 2w and 2w + 1.
+    # Shifted below the stored levels, w is the in-order rank of the
+    # leftmost leaf under the node, which is i + 1.
+    levels = [lay.tree[(1 << level) - 1 :] for level in range(top)]
+
+    def start(z, w, r, v, hit):
         w[:] = 0
-        for level in range(_top):
-            _take(_t[(1 << level) - 1 :], w, v)
+        for t in levels:
+            _take(t, w, v)
             np.greater_equal(z, v, out=hit)
             np.add(w, w, out=w)
             np.add(w, hit, out=w)
-        # Below the stored levels w is the in-order rank of the leftmost
-        # leaf under the node, and the node at that level has rank
-        # w + half - 1 in the knots; the clip reads X_N past N, as the
-        # padding did.
-        np.left_shift(w, _L - _top, out=w)
-        for level in range(_top, _L):
-            half = 1 << (_L - level - 1)
-            _take(_x[half - 1 :], w, v)  # X[min(w + half - 1, N)]
-            np.greater_equal(z, v, out=hit)
-            _add_where(w, hit, half, r)
-        np.subtract(w, 1, out=w)  # the leaf rank counts the knots <= z
+        np.left_shift(w, below, out=w)
 
-    lanes = _blocked(step, np.int64, p.values.dtype, bool)
-    scalar = _compile_kernel(lines, t=memoryview(lay.tree), xs=memoryview(p.values))
-    return lay, scalar, lanes
+    steps = [1 << s for s in reversed(range(below))]
+    test = f"z >= xs[r if r < {n} else {n}]"
+    views = {"t": memoryview(lay.tree), "xs": memoryview(p.values)}
+    return _probe_kernel(p.values, steps, test, lay, head, start, **views)
 
 
 def _direct_scalar(idx: direct.DirectIndex, lines, **tables) -> Callable:
@@ -418,7 +423,7 @@ def run_batch(
         raise ValueError("lane width must be >= 1")
     nthreads = resolve_threads(threads)
     z = np.asarray(queries)
-    if z.dtype.kind not in "biufO":
+    if not holds_reals(z):
         raise ValueError(f"queries must be real numbers, got dtype {z.dtype}")
     if z.ndim != 1:
         raise ValueError(f"queries must be 1-D, got {z.ndim} dimensions")

@@ -19,8 +19,10 @@ half = 2**(L-l-1), sets w <- w + half when z >= X[min(w + half - 1, N)].
 The final w is the number of padded knots <= z.  A rank past N reads
 X_N > z, as a padding slot did, so that count equals the count over the
 base partition, and the sought interval index is the count minus one.
-The whole kernel is additionally validated against the linear-scan
-oracle.
+In i = w - 1, the remaining levels are bitset3's clamped schedule
+2**(L-top-1) .. 1 over the knots, which is how :mod:`fastsearch.batch`
+builds both of the kernel's forms.  The whole kernel is additionally
+validated against the linear-scan oracle.
 """
 
 from __future__ import annotations
@@ -83,20 +85,3 @@ def build_layout(p: SortedPartition) -> EytzingerLayout:
         row[len(knots) :] = xs[-1]
     tree.setflags(write=False)
     return EytzingerLayout(tree=tree, L=depth)
-
-
-def eytzinger_seq(tree, xs, depth: int, z) -> int:
-    """Fixed-depth descent: the len(tree).bit_length() levels stored in
-    ``tree``, then the rest over the knots ``xs``, each read clamped to
-    X_N.  Both are any 0-based indexable sequences."""
-    top = len(tree).bit_length()
-    n = len(xs) - 1
-    k = 1
-    for _ in range(top):
-        k = 2 * k + (1 if z >= tree[k - 1] else 0)
-    w = (k - (1 << top)) << (depth - top)
-    for level in range(top, depth):
-        half = 1 << (depth - level - 1)
-        if z >= xs[min(w + half - 1, n)]:
-            w += half
-    return w - 1

@@ -12,6 +12,7 @@ concurrent readers.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,15 @@ def precision_of(dtype) -> str:
     if dtype == np.float64:
         return "double"
     raise ValueError(f"unsupported dtype {dtype}; use float32 or float64")
+
+
+def holds_reals(a: np.ndarray) -> bool:
+    """Whether ``a`` holds only real numbers: its dtype is bool, integer or
+    float, or it is an object array of ``numbers.Real`` or numpy bool
+    elements.  Only an object array is scanned element by element."""
+    if a.dtype.kind == "O":
+        return all(isinstance(v, (numbers.Real, np.bool_)) for v in a.flat)
+    return a.dtype.kind in "biuf"
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -73,8 +83,9 @@ class SortedPartition:
 def validate_partition(raw, precision: str | None = None) -> SortedPartition:
     """Wrap ``raw`` as a SortedPartition, enforcing the type invariants.
 
-    Raises PartitionError naming the shape of input that is not 1-D,
-    TooShort for fewer than two values, NonFinite at the first NaN or
+    Raises PartitionError naming the dtype of input that is not real
+    numbers (strings, complex, ``None``) and the shape of input that is not
+    1-D, TooShort for fewer than two values, NonFinite at the first NaN or
     infinity, and NotStrictlyIncreasing at the first i with raw[i-1] >= raw[i].
     Non-array input is converted to the requested precision (double when not
     specified); array input keeps its dtype unless a precision is forced.
@@ -86,6 +97,9 @@ def validate_partition(raw, precision: str | None = None) -> SortedPartition:
         precision = precision_of(raw.dtype)
     elif precision is None:
         precision = "double"
+    raw = np.asarray(raw)  # no copy of an array
+    if not holds_reals(raw):
+        raise PartitionError(f"a partition must hold real numbers, got dtype {raw.dtype}")
     values = np.array(raw, dtype=dtype_of(precision))  # copy: never alias caller data
     if values.ndim != 1:
         raise PartitionError(f"a partition must be 1-D, got shape {values.shape}")

@@ -1,0 +1,85 @@
+"""Readable reference loops for the fixed-schedule comparison kernels.
+
+Each ``*_seq`` function is a loop over a plain index-by-integer sequence.
+The library compiles the unrolled scalar and lane forms of these kernels
+from their probe schedules (see :mod:`fastsearch.batch`); the tests check
+those fast forms against these loops, read for read, and check the loops
+against the linear-scan oracle.  ``classic_seq`` stays in
+:mod:`fastsearch.binsearch`, since it is the classical kernel's scalar.
+"""
+
+from __future__ import annotations
+
+
+def bitset1_seq(xs, n: int, probe: int, z) -> int:
+    """Resolve the result bits top-down; candidate indexes are range-guarded."""
+    i = 0
+    k = probe
+    while k:
+        r = i | k
+        if r < n and z >= xs[r]:
+            i = r
+        k >>= 1
+    return i
+
+
+def bitset2_seq(padded, probe: int, z) -> int:
+    """Unguarded bit-setting search over a right-padded array.
+
+    Every candidate index fits in the padded array and the padding value
+    X_N compares greater than any valid query, so the guard of
+    :func:`bitset1_seq` is unnecessary.
+    """
+    i = 0
+    k = probe
+    while k:
+        r = i | k
+        if z >= padded[r]:
+            i = r
+        k >>= 1
+    return i
+
+
+def bitset3_seq(xs, n: int, probe: int, z) -> int:
+    """No padding: the probe index is clamped to N before the load."""
+    i = 0
+    k = probe
+    while k:
+        r = i | k
+        w = r if r < n else n
+        if z >= xs[w]:
+            i = r
+        k >>= 1
+    return i
+
+
+def offset_seq(xs, f: int, s: int, j: int, z) -> int:
+    """Track (start index, range size); the size halves deterministically."""
+    i = 0
+    if z >= xs[f]:
+        i = f
+    while j > 0:
+        j -= 1
+        half = s >> 1
+        f = i + half
+        if z >= xs[f]:
+            i = f
+        s -= half
+    return i
+
+
+def eytzinger_seq(tree, xs, depth: int, z) -> int:
+    """Fixed-depth descent: the len(tree).bit_length() levels stored in
+    ``tree``, then the rest over the knots ``xs``, each read clamped to
+    X_N.  Both are any 0-based indexable sequences."""
+    top = len(tree).bit_length()
+    n = len(xs) - 1
+    k = 1
+    for _ in range(top):
+        k = 2 * k + (1 if z >= tree[k - 1] else 0)
+    w = (k - (1 << top)) << (depth - top)
+    for level in range(top, depth):
+        half = 1 << (depth - level - 1)
+        if z >= xs[min(w + half - 1, n)]:
+            w += half
+    return w - 1

@@ -18,8 +18,10 @@ from fastsearch.partition import (
 )
 
 from helpers import CountingList, boundary_probes, random_queries
+from reference import bitset1_seq, bitset2_seq, bitset3_seq, eytzinger_seq, offset_seq
 
 LANE_KERNELS = [a for a in ALGORITHMS if a != "classic"]
+PROBE_KERNELS = ["bitset1", "bitset2", "bitset3", "offset", "eytzinger"]
 
 
 @pytest.fixture(scope="module", params=["single", "double"])
@@ -280,8 +282,15 @@ class TestQueryConversion:
 
     @pytest.mark.parametrize(
         "queries",
-        [[3 + 1j], ["1.5", "2.5"], np.array(["2000-01-01"], dtype="datetime64[D]")],
-        ids=["complex", "str", "datetime64"],
+        [
+            [3 + 1j],
+            ["1.5", "2.5"],
+            np.array(["2000-01-01"], dtype="datetime64[D]"),
+            np.array(["1.5", "2.5"], dtype=object),
+            np.array([1.5, None], dtype=object),
+            np.array([1.5, 3 + 1j], dtype=object),
+        ],
+        ids=["complex", "str", "datetime64", "object-str", "object-None", "object-complex"],
     )
     @pytest.mark.parametrize("d", [1, 8])
     def test_non_real_queries_name_dtype(self, d, queries):
@@ -294,6 +303,16 @@ class TestQueryConversion:
             run_batch(prepare("direct", p), queries, d=d, out=out)
         assert not isinstance(exc.value, OutOfDomain)
         assert (out == -1).all()
+
+    @pytest.mark.parametrize("d", [1, 8])
+    def test_object_array_of_reals_answered(self, d):
+        """An object array of Python and numpy reals is answered as the
+        same values in a float array."""
+        p = gen_uniform_gap_partition(255, 1, 5, seed=2011)
+        values = [1.5, 2, np.float32(2.5), np.float64(7.25), True, np.True_, 100]
+        want = linear_scan_oracle_batch(p, np.array(values, dtype=np.float64))
+        got = run_batch(prepare("direct", p), np.array(values, dtype=object), d=d)
+        assert got.tolist() == want.tolist()
 
     @pytest.mark.parametrize("d", [1, 8])
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -440,26 +459,43 @@ class TestProbeScheduleReads:
 
     @staticmethod
     def reference(algorithm, p):
-        """(table, reference(xs, z)) for one probe-schedule kernel."""
+        """({name: table}, reference(**lists, z)) for one probe-schedule
+        kernel; the names are those its compiled scalar binds."""
         n = p.n_intervals
         probe = binsearch.probe_constant(n)
         c = binsearch.offset_constants(n)
+        lay = eytzinger.build_layout(p)
         return {
-            "bitset1": (p.values, lambda xs, z: binsearch.bitset1_seq(xs, n, probe, z)),
-            "bitset2": (pad_right_pow2(p), lambda xs, z: binsearch.bitset2_seq(xs, probe, z)),
-            "bitset3": (p.values, lambda xs, z: binsearch.bitset3_seq(xs, n, probe, z)),
-            "offset": (p.values, lambda xs, z: binsearch.offset_seq(xs, c.F, c.S, c.J, z)),
+            "bitset1": ({"xs": p.values}, lambda xs, z: bitset1_seq(xs, n, probe, z)),
+            "bitset2": ({"xs": pad_right_pow2(p)}, lambda xs, z: bitset2_seq(xs, probe, z)),
+            "bitset3": ({"xs": p.values}, lambda xs, z: bitset3_seq(xs, n, probe, z)),
+            "offset": ({"xs": p.values}, lambda xs, z: offset_seq(xs, c.F, c.S, c.J, z)),
+            "eytzinger": (
+                {"t": lay.tree, "xs": p.values},
+                lambda t, xs, z: eytzinger_seq(t, xs, lay.L, z),
+            ),
         }[algorithm]
 
-    @pytest.mark.parametrize("size", [2, 3, 9, 15, 16, 17, 255, 256, 257, 384])
-    @pytest.mark.parametrize("algorithm", ["bitset1", "bitset2", "bitset3", "offset"])
-    def test_scalar_reads_as_reference(self, algorithm, size):
-        p = gen_uniform_gap_partition(size, 1, 5, seed=size)
-        table, seq = self.reference(algorithm, p)
-        table = table.tolist()
+    def check(self, algorithm, p):
+        tables, seq = self.reference(algorithm, p)
+        lists = {name: table.tolist() for name, table in tables.items()}
         prep = prepare(algorithm, p)
         for z in boundary_probes(p).tolist():
-            got, want = CountingList(table), CountingList(table)
-            answer = prep.scalar(z, xs=got)
-            assert answer == seq(want, z) == linear_scan_oracle(p, z), z
-            assert got.served == want.served, z
+            got = {name: CountingList(data) for name, data in lists.items()}
+            want = {name: CountingList(data) for name, data in lists.items()}
+            answer = prep.scalar(z, **got)
+            assert answer == seq(**want, z=z) == linear_scan_oracle(p, z), z
+            for name in lists:
+                assert got[name].served == want[name].served, (name, z)
+
+    @pytest.mark.parametrize("size", [2, 3, 9, 15, 16, 17, 255, 256, 257, 384])
+    @pytest.mark.parametrize("algorithm", PROBE_KERNELS)
+    def test_scalar_reads_as_reference(self, algorithm, size):
+        self.check(algorithm, gen_uniform_gap_partition(size, 1, 5, seed=size))
+
+    @pytest.mark.parametrize("algorithm", PROBE_KERNELS)
+    def test_single_precision_reads_as_reference(self, algorithm):
+        """float32 stores one more knot level below the Eytzinger tree."""
+        for size in [2, 17, 33, 257, 1025]:
+            p = gen_uniform_gap_partition(size, 1, 5, seed=size, precision="single")
+            self.check(algorithm, p)

@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from fastsearch.binsearch import (
-    bitset1_seq,
-    bitset2_seq,
-    bitset3_seq,
-    classic_seq,
-    offset_constants,
-    offset_seq,
-    probe_constant,
-)
+from fastsearch.binsearch import classic_seq, offset_constants, probe_constant
 from fastsearch.partition import (
     gen_uniform_gap_partition,
     linear_scan_oracle,
@@ -18,6 +10,7 @@ from fastsearch.partition import (
 )
 
 from helpers import CountingList, boundary_probes, random_queries
+from reference import bitset1_seq, bitset2_seq, bitset3_seq, offset_seq
 
 
 def all_searchers(p):

@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from fastsearch.batch import prepare, run_batch
-from fastsearch.eytzinger import (
-    build_layout,
-    eytzinger_seq,
-    tree_depth,
-)
+from fastsearch.eytzinger import build_layout, tree_depth
 from fastsearch.partition import (
     gen_uniform_gap_partition,
     linear_scan_oracle,
@@ -15,6 +11,7 @@ from fastsearch.partition import (
 )
 
 from helpers import CountingList, boundary_probes
+from reference import eytzinger_seq
 
 #: Levels read from the knots below the stored tree: log2(64 / itemsize).
 KNOT_LEVELS = {"single": 4, "double": 3}

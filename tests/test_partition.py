@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,36 @@ class TestValidate:
         with pytest.raises(PartitionError, match=r"shape \(1000, 1\)") as exc:
             validate_partition(column)
         assert not isinstance(exc.value, TooShort)
+
+    @pytest.mark.parametrize(
+        "raw, dtype",
+        [
+            (["0", "1.5", "3"], "<U3"),
+            ([0, 1 + 5j, 3], "complex128"),
+            (np.array([0, 1 + 5j, 3]), "complex128"),
+            (np.array([0.0, None, 3.0], dtype=object), "object"),
+        ],
+        ids=["str-list", "complex-list", "complex-array", "object-None"],
+    )
+    def test_non_real_input_names_its_dtype(self, raw, dtype):
+        """Strings are not parsed and complex values are not truncated to
+        their real part: each raises PartitionError naming its dtype."""
+        with pytest.raises(PartitionError, match=f"dtype {dtype}") as exc:
+            validate_partition(raw)
+        assert not isinstance(exc.value, (NonFinite, TooShort))
+
+    def test_float_array_copied_once(self):
+        """Validation copies a float array once and keeps no second
+        knot-sized buffer: its peak stays under 1.5 times the knots."""
+        raw = np.arange(1 << 18, dtype=np.float64)
+        tracemalloc.start()
+        try:
+            p = validate_partition(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not np.shares_memory(p.values, raw)
+        assert peak < 1.5 * raw.nbytes, peak
 
     def test_precision_inferred_from_dtype(self):
         p = validate_partition(np.array([0, 1], dtype=np.float32))
