@@ -24,12 +24,12 @@ Each kernel name maps to one builder in a single table.  A builder makes
 the search structure, lists only the tables its own kernel reads, and
 returns the structure with the kernel's scalar and lane forms.  The five
 fixed-iteration comparison kernels share one generator of both forms:
-each is a start, a probe schedule, i += k wherever X[i + k] <= z, and a
-read rule that keeps its scalar's probes in range (bitset1 guards,
-bitset2 pads, bitset3 clamps).  The Eytzinger descent is a start over its
-stored tree levels followed by bitset3's schedule over the knots.  The
-direct family's scalars share one compiler that binds the bucket
-expression of the index's precision.
+each is a start, a probe schedule from :mod:`fastsearch.binsearch`,
+i += k wherever X[i + k] <= z, and a read rule that keeps its scalar's
+probes in range (bitset1 guards, bitset2 pads, bitset3 clamps).  The
+Eytzinger descent is a start over its stored tree levels followed by
+bitset3's schedule over the knots.  The direct family's scalars share one
+compiler that binds the bucket expression of the index's precision.
 
 Queries are converted to the partition's dtype once, at the batch
 boundary, and the domain check runs on the converted values: a batch's
@@ -40,8 +40,8 @@ pure-Python scalar, so a batch's scalar part (its ``M mod d`` tail, or
 all of it for ``d = 1`` and ``classic``) runs on the calling thread.
 The lanes split into contiguous spans of at least one lane block, written
 disjointly (out[j] is always query j's answer); a lane part too small for
-two spans runs inline.  ``FASTSEARCH_THREADS`` supplies the thread count
-when none is passed; either way it is capped at the machine's CPU count.
+two spans runs inline.  The thread count is the caller's, 1 by default,
+capped at the machine's CPU count.
 """
 
 from __future__ import annotations
@@ -57,9 +57,7 @@ import numpy as np
 
 from . import binsearch, direct, eytzinger
 from .errors import OutOfDomain
-from .partition import SortedPartition, holds_reals, pad_right_pow2
-
-THREADS_ENV = "FASTSEARCH_THREADS"
+from .partition import SortedPartition, holds_reals, overflow_at, pad_right_pow2
 
 
 def _compile_kernel(lines, **bound) -> Callable:
@@ -208,41 +206,29 @@ def _probe_kernel(
     return structure, scalar, lanes
 
 
-def _bits(n: int) -> list[int]:
-    """The bit-setting searches' schedule: 2**floor(log2 N) down to 1.
-    Bit k of i is still clear when k is probed, so i + k is i | k."""
-    probe = binsearch.probe_constant(n)
-    return [probe >> s for s in range(probe.bit_length())]
-
-
 def _build_bitset1(p: SortedPartition):
     """Guarded: a probe at or past N is refused unread.  The lanes drop
     the guard: their clipped read of X_N refuses the same probes."""
-    n, bits = p.n_intervals, _bits(p.n_intervals)
-    return _probe_kernel(p.values, bits, f"r < {n} and z >= xs[r]", bits[0])
+    n, bits = p.n_intervals, binsearch.bit_schedule(p.n_intervals)
+    return _probe_kernel(p.values, bits, f"r < {n} and z >= xs[r]", bits)
 
 
 def _build_bitset2(p: SortedPartition):
     """Padded: every probe lands in the array padded with X_N."""
-    padded = pad_right_pow2(p)
-    return _probe_kernel(padded, _bits(p.n_intervals), "z >= xs[r]", padded)
+    padded, bits = pad_right_pow2(p), binsearch.bit_schedule(p.n_intervals)
+    return _probe_kernel(padded, bits, "z >= xs[r]", padded)
 
 
 def _build_bitset3(p: SortedPartition):
     """Clamped: a probe past N reads X_N."""
-    n, bits = p.n_intervals, _bits(p.n_intervals)
-    return _probe_kernel(p.values, bits, f"z >= xs[r if r < {n} else {n}]", bits[0])
+    n, bits = p.n_intervals, binsearch.bit_schedule(p.n_intervals)
+    return _probe_kernel(p.values, bits, f"z >= xs[r if r < {n} else {n}]", bits)
 
 
 def _build_offset(p: SortedPartition):
-    """The start index F, then the halves of a range size that shrinks
-    deterministically, so the whole schedule is a function of N."""
-    c = binsearch.offset_constants(p.n_intervals)
-    steps, s = [c.F], c.S
-    for _ in range(c.J):
-        steps.append(s >> 1)
-        s -= s >> 1
-    return _probe_kernel(p.values, steps, "z >= xs[r]", c)
+    """Unguarded: the steps sum to N, so no probe passes index N."""
+    steps = binsearch.offset_schedule(p.n_intervals)
+    return _probe_kernel(p.values, steps, "z >= xs[r]", steps)
 
 
 def _build_eytzinger(p: SortedPartition):
@@ -271,7 +257,7 @@ def _build_eytzinger(p: SortedPartition):
             np.add(w, hit, out=w)
         np.left_shift(w, below, out=w)
 
-    steps = [1 << s for s in reversed(range(below))]
+    steps = binsearch.bit_schedule((1 << below) - 1)
     test = f"z >= xs[r if r < {n} else {n}]"
     views = {"t": memoryview(lay.tree), "xs": memoryview(p.values)}
     return _probe_kernel(p.values, steps, test, lay, head, start, **views)
@@ -345,16 +331,9 @@ def _build_direct_cache(p: SortedPartition):
         np.less(z, rec["val"], out=hit)
         np.subtract(rec["idx"], hit, out=i)
 
-    # The scalar reads record j's index as word k[j * ks] and its value
-    # as v[j * vs + vo], through views of the records' own buffer.
-    rec = idx.fused
-    vtype, offset = rec.dtype.fields["val"][:2]
-    ks = rec.itemsize // 4
-    vs, vo = rec.itemsize // vtype.itemsize, offset // vtype.itemsize
-    lines = ["j = {bucket}", f"return k[{ks} * j] - (z < v[{vs} * j + {vo}])"]
-    scalar = _direct_scalar(idx, lines, k=rec.view(np.uint32), v=rec.view(vtype))
-    dt = p.values.dtype
-    lanes = _blocked(step, dt, np.int64, rec.dtype, bool)
+    lines = ["j = {bucket}", "return k[j] - (z < v[j])"]
+    scalar = _direct_scalar(idx, lines, k=idx.fused["idx"], v=idx.fused["val"])
+    lanes = _blocked(step, p.values.dtype, np.int64, idx.fused.dtype, bool)
     return idx, scalar, lanes
 
 
@@ -384,26 +363,11 @@ def prepare(algorithm: str, p: SortedPartition) -> PreparedKernel:
     return PreparedKernel(algorithm, p, *_BUILDERS[algorithm](p))
 
 
-def resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        threads = operator.index(threads)
-        if threads < 1:
-            raise ValueError("thread count must be >= 1")
-        return threads
-    env = os.environ.get(THREADS_ENV)
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-
-
 def run_batch(
     prepared: PreparedKernel,
     queries,
     d: int = 1,
-    threads: int | None = None,
+    threads: int = 1,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Resolve every query; returns ``out``, where out[j] answers query j.
@@ -415,20 +379,24 @@ def run_batch(
     otherwise a new one is returned.  Raises TypeError for a non-integer d
     or thread count, ValueError for either below 1, for queries that are
     not real or not 1-D and for a mis-sized or mis-typed ``out``, and
-    OutOfDomain identifying the first converted query outside [X_0, X_N);
-    nothing is written in those cases.
+    OutOfDomain identifying the first converted query outside [X_0, X_N)
+    or past the float range; nothing is written in those cases.
     """
-    d = operator.index(d)
+    d, threads = operator.index(d), operator.index(threads)
     if d < 1:
         raise ValueError("lane width must be >= 1")
-    nthreads = resolve_threads(threads)
+    if threads < 1:
+        raise ValueError("thread count must be >= 1")
     z = np.asarray(queries)
     if not holds_reals(z):
         raise ValueError(f"queries must be real numbers, got dtype {z.dtype}")
     if z.ndim != 1:
         raise ValueError(f"queries must be 1-D, got {z.ndim} dimensions")
     xs = prepared.partition.values
-    z = z.astype(xs.dtype, copy=False)
+    try:
+        z = z.astype(xs.dtype, copy=False)
+    except OverflowError:
+        raise OutOfDomain(position=overflow_at(z)) from None
     m = len(z)
     if out is not None and (out.shape != (m,) or out.dtype != np.int64):
         raise ValueError("output array must be int64 with one entry per query")
@@ -443,7 +411,7 @@ def run_batch(
     # of at least one lane block, since the GIL serializes the scalar.
     lanes, scalar = prepared.lanes, prepared.scalar
     stop = m - m % d if (lanes is not None and d > 1) else 0
-    parts = min(nthreads, os.cpu_count() or 1, stop // _BLOCK)
+    parts = min(threads, os.cpu_count() or 1, stop // _BLOCK)
     if parts > 1:
         cuts = [stop * w // parts for w in range(parts + 1)]
         with ThreadPoolExecutor(max_workers=parts) as pool:

@@ -90,8 +90,8 @@ def _build_bench_parser() -> _Parser:
     tp.add_argument("--lanes", type=_csv_ints, default=[1, 4, 8])
     tp.add_argument("--queries", type=int, default=1 << 20)
     tp.add_argument("--reps", type=int, default=5)
-    tp.add_argument("--threads", type=int, default=None,
-                    help="batch worker threads (default: FASTSEARCH_THREADS or 1)")
+    tp.add_argument("--threads", type=int, default=1,
+                    help="batch worker threads, capped at the CPU count (default: 1)")
     tp.add_argument("--min-time", type=float, default=0.1,
                     help="minimum seconds of work per measurement")
 

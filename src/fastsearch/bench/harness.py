@@ -109,7 +109,7 @@ def run_throughput(
     repetitions: int = 5,
     gap_lo: float = 1.0,
     gap_hi: float = 5.0,
-    threads: int | None = None,
+    threads: int = 1,
     min_time: float = 0.1,
 ) -> ThroughputReport:
     """Time every (algorithm, precision, size, lane width) combination.
@@ -142,9 +142,7 @@ def run_throughput(
                 try:
                     prep = prepare(algorithm, p)
                 except InfeasibleError as exc:
-                    skipped.append(
-                        InfeasibleSkipped(algorithm, size, precision, repr(exc))
-                    )
+                    skipped.append(InfeasibleSkipped(algorithm, size, precision, repr(exc)))
                     continue
                 for d in d_widths:
                     def run_pass(prep=prep, d=d):
@@ -217,9 +215,6 @@ def run_setup_stats(
         if failed:
             infeasible[size] = failed
         if updates:
-            rows.append(
-                SetupStatsRow(
-                    size, len(updates), *_spread(updates), *_spread(per_elem_ns)
-                )
-            )
+            spread = (*_spread(updates), *_spread(per_elem_ns))
+            rows.append(SetupStatsRow(size, len(updates), *spread))
     return SetupStatsReport(precision=precision, rows=rows, infeasible=infeasible)

@@ -9,7 +9,7 @@ offset    size   field
 8         2      format version (u16, currently 1)
 10        1      precision (u8: 0 = single, 1 = double)
 11        1      qbits (u8): written as 32; 32 or 64 accepted
-12        1      gap q (u8)
+12        1      gap q (u8, 1 to 255)
 13        3      reserved, zero
 16        8      N, interval count (u64)
 24        8      R, largest bucket (u64)
@@ -57,7 +57,10 @@ _WRITE_CHUNK = 1 << 20
 
 
 def save_index(idx: DirectIndex, path) -> int:
-    """Write the index to ``path``; returns the byte count written."""
+    """Write the index to ``path``; returns the byte count written.  A gap
+    past the header's u8 raises ValueError before the file is opened."""
+    if not 1 <= idx.q <= 255:
+        raise ValueError(f"gap {idx.q} does not fit the index header (1 to 255)")
     header = _HEADER.pack(
         MAGIC,
         VERSION,
@@ -124,11 +127,4 @@ def load_index(path) -> DirectIndex:
     dtype = dtype_of(_PRECISIONS[prec_code]).type
     k = payload.astype(K_DTYPE, copy=False)
     k.setflags(write=False)
-    return DirectIndex(
-        x0=dtype(x064),
-        h=dtype(h64),
-        r=int(r),
-        q=int(gap),
-        k=k,
-        n=int(n),
-    )
+    return DirectIndex(x0=dtype(x064), h=dtype(h64), r=int(r), q=int(gap), k=k, n=int(n))

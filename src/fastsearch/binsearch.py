@@ -5,42 +5,38 @@ The classical search narrows [low, high] with a data-dependent loop;
 run a fixed number of iterations that depends only on N, contain no
 data-dependent exit, and express their per-iteration choice as a
 conditional assignment, which is what makes them amenable to lock-step
-batch execution.  This module holds the constants of their probe
-schedules; :mod:`fastsearch.batch` compiles their scalar and lane forms
-from those schedules, and the tests check both against readable
-reference loops.
+batch execution.  Each is the update i += k wherever X[i + k] <= z, over
+a probe schedule of steps k that is a function of N alone.  This module
+holds those schedules; :mod:`fastsearch.batch` compiles the kernels'
+scalar and lane forms from them, and the tests check both against
+readable reference loops.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+def bit_schedule(n: int) -> list[int]:
+    """The bit-setting searches' schedule: 2**floor(log2 N) down to 1.
 
-@dataclass(frozen=True)
-class OffsetConstants:
-    """Precomputed constants for the offset-based search.
-
-    F is the initial mid index (N+1)//2, S the remaining range size
-    N+1-F, and J the fixed iteration count floor(log2(N+1)).
+    Bit k of i is still clear when k is probed, so i + k is i | k.
     """
+    if n < 1:
+        raise ValueError("need at least one interval")
+    return [1 << s for s in reversed(range(n.bit_length()))]
 
-    F: int
-    S: int
-    J: int
 
-
-def offset_constants(n: int) -> OffsetConstants:
+def offset_schedule(n: int) -> list[int]:
+    """The offset search's schedule: the start index F = (N+1)//2, then
+    the floor(log2(N+1)) halves of a range that starts at N + 1 - F and
+    shrinks deterministically.  The steps sum to N."""
     if n < 1:
         raise ValueError("need at least one interval")
     f = (n + 1) >> 1
-    return OffsetConstants(F=f, S=n + 1 - f, J=(n + 1).bit_length() - 1)
-
-
-def probe_constant(n: int) -> int:
-    """Leading probe 2**floor(log2 N) for the bit-setting searches."""
-    if n < 1:
-        raise ValueError("need at least one interval")
-    return 1 << (n.bit_length() - 1)
+    steps, s = [f], n + 1 - f
+    for _ in range((n + 1).bit_length() - 1):
+        steps.append(s >> 1)
+        s -= s >> 1
+    return steps
 
 
 def classic_seq(xs, n: int, z) -> int:

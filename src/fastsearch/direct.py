@@ -211,11 +211,7 @@ def compute_h_r(p: SortedPartition, q: int = 1):
             )
 
     r = int(np.floor(h * span))
-    stats = HGrowthStats(
-        increments=increments,
-        growth_total=float(h - h_start),
-    )
-    return h, r, stats
+    return h, r, HGrowthStats(increments, growth_total=float(h - h_start))
 
 
 def _fill_table(k: np.ndarray, xs: np.ndarray, h, q: int) -> None:
@@ -287,10 +283,13 @@ def build_index(
     chunk from the knots (see ``_fill_table``), so the build allocates no
     N- or R-sized temporary.  With ``fused`` (gap 1 only) it allocates
     only the (index, knot value) records and fills their ``idx`` field
-    as K; the returned index's ``k`` is then None.  Raises Overflow, before
-    allocating anything, when R + 1 exceeds ``_max_buckets(N)``.
+    as K; the returned index's ``k`` is then None.  Raises ValueError for
+    a gap below 1 and Overflow when R + 1 exceeds ``_max_buckets(N)``,
+    both before allocating anything.
     """
     n = p.n_intervals
+    if q < 1:
+        raise ValueError("gap must be >= 1")
     if n >= 2 ** 32:
         raise ValueError("table entries are 32-bit; partition is too large")
     if r + 1 > _max_buckets(n):
@@ -307,24 +306,14 @@ def build_index(
         records = np.zeros(r + 1, dtype=_FUSED_DTYPES[p.precision])
         k = records["idx"]
     else:
-        records = None
-        k = np.zeros(r + 1, dtype=K_DTYPE)
+        records, k = None, np.zeros(r + 1, dtype=K_DTYPE)
     _fill_table(k, xs, h, q)
     assert k[-1] == n
     if fused:
         _fill_values(records, xs)
-        records.setflags(write=False)
-        k = None
-    else:
-        k.setflags(write=False)
+    (records if fused else k).setflags(write=False)
     return DirectIndex(
-        x0=xs[0],
-        h=h,
-        r=r,
-        q=q,
-        k=k,
-        n=n,
-        fused=records,
+        x0=xs[0], h=h, r=r, q=q, k=None if fused else k, n=n, fused=records
     )
 
 

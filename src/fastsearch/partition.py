@@ -49,6 +49,18 @@ def holds_reals(a: np.ndarray) -> bool:
     return a.dtype.kind in "biuf"
 
 
+def overflow_at(a: np.ndarray) -> int | None:
+    """Position of the first element of ``a`` that float() refuses as too
+    large: a Python int past the float range, which only an object array
+    can hold.  Called once a conversion has raised OverflowError."""
+    for i, v in enumerate(a.flat):
+        try:
+            float(v)
+        except OverflowError:
+            return i
+    return None
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -85,24 +97,24 @@ def validate_partition(raw, precision: str | None = None) -> SortedPartition:
 
     Raises PartitionError naming the dtype of input that is not real
     numbers (strings, complex, ``None``) and the shape of input that is not
-    1-D, TooShort for fewer than two values, NonFinite at the first NaN or
-    infinity, and NotStrictlyIncreasing at the first i with raw[i-1] >= raw[i].
+    1-D, TooShort for fewer than two values, NonFinite at the first NaN,
+    infinity or integer past the float range, and NotStrictlyIncreasing at
+    the first i with raw[i-1] >= raw[i].
     Non-array input is converted to the requested precision (double when not
     specified); array input keeps its dtype unless a precision is forced.
     """
-    if precision is None and isinstance(raw, np.ndarray) and raw.dtype in (
-        np.float32,
-        np.float64,
-    ):
-        precision = precision_of(raw.dtype)
-    elif precision is None:
-        precision = "double"
+    if precision is None:
+        floats = isinstance(raw, np.ndarray) and raw.dtype in (np.float32, np.float64)
+        precision = precision_of(raw.dtype) if floats else "double"
     raw = np.asarray(raw)  # no copy of an array
     if not holds_reals(raw):
         raise PartitionError(f"a partition must hold real numbers, got dtype {raw.dtype}")
-    values = np.array(raw, dtype=dtype_of(precision))  # copy: never alias caller data
-    if values.ndim != 1:
-        raise PartitionError(f"a partition must be 1-D, got shape {values.shape}")
+    if raw.ndim != 1:
+        raise PartitionError(f"a partition must be 1-D, got shape {raw.shape}")
+    try:
+        values = np.array(raw, dtype=dtype_of(precision))  # copy: never alias caller data
+    except OverflowError:
+        raise NonFinite(overflow_at(raw)) from None
     if len(values) < 2:
         raise TooShort("a partition needs at least two values")
     finite = np.isfinite(values)

@@ -1,14 +1,30 @@
 """Readable reference loops for the fixed-schedule comparison kernels.
 
-Each ``*_seq`` function is a loop over a plain index-by-integer sequence.
-The library compiles the unrolled scalar and lane forms of these kernels
-from their probe schedules (see :mod:`fastsearch.batch`); the tests check
+Each ``*_seq`` function is a loop over a plain index-by-integer sequence,
+driven by the paper's constants: the leading probe of the bit-setting
+searches and the offset search's (F, S, J), worked out here independently
+of the library's probe schedules.  The library compiles the unrolled
+scalar and lane forms of these kernels from its schedules (see
+:mod:`fastsearch.binsearch` and :mod:`fastsearch.batch`); the tests check
 those fast forms against these loops, read for read, and check the loops
 against the linear-scan oracle.  ``classic_seq`` stays in
 :mod:`fastsearch.binsearch`, since it is the classical kernel's scalar.
 """
 
 from __future__ import annotations
+
+
+def probe_constant(n: int) -> int:
+    """Leading probe 2**floor(log2 N) of the bit-setting searches."""
+    return 1 << (n.bit_length() - 1)
+
+
+def offset_constants(n: int) -> tuple[int, int, int]:
+    """The offset search's (F, S, J): the initial mid index (N+1)//2, the
+    remaining range size N + 1 - F, and the fixed iteration count
+    floor(log2(N+1))."""
+    f = (n + 1) >> 1
+    return f, n + 1 - f, (n + 1).bit_length() - 1
 
 
 def bitset1_seq(xs, n: int, probe: int, z) -> int:

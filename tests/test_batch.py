@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import re
 import tracemalloc
@@ -7,8 +8,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fastsearch import batch, binsearch, eytzinger
-from fastsearch.batch import ALGORITHMS, prepare, resolve_threads, run_batch
+from fastsearch import batch, eytzinger
+from fastsearch.batch import ALGORITHMS, prepare, run_batch
 from fastsearch.errors import OutOfDomain
 from fastsearch.partition import (
     gen_uniform_gap_partition,
@@ -18,7 +19,15 @@ from fastsearch.partition import (
 )
 
 from helpers import CountingList, boundary_probes, random_queries
-from reference import bitset1_seq, bitset2_seq, bitset3_seq, eytzinger_seq, offset_seq
+from reference import (
+    bitset1_seq,
+    bitset2_seq,
+    bitset3_seq,
+    eytzinger_seq,
+    offset_constants,
+    offset_seq,
+    probe_constant,
+)
 
 LANE_KERNELS = [a for a in ALGORITHMS if a != "classic"]
 PROBE_KERNELS = ["bitset1", "bitset2", "bitset3", "offset", "eytzinger"]
@@ -55,11 +64,24 @@ class TestLaneInvariance:
             assert np.concatenate(stepped).tolist() == want.tolist()
 
     def test_remainder_goes_through_scalar(self, workload):
+        """At d = 8 every lane kernel calls its scalar exactly m mod 8
+        times, once for each query of the tail, and writes into ``out``."""
         p, z, want = workload
-        prep = prepare("bitset2", p)
-        out = np.empty(5, dtype=np.int64)
-        assert run_batch(prep, z[:5], d=4, out=out) is out
-        assert out.tolist() == want[:5].tolist()
+        for algorithm in LANE_KERNELS:
+            prep = prepare(algorithm, p)
+            calls = []
+
+            def counted(v, scalar=prep.scalar):
+                calls.append(v)
+                return scalar(v)
+
+            counting = dataclasses.replace(prep, scalar=counted)
+            for m in (5, 8, 13, len(z)):
+                calls.clear()
+                out = np.empty(m, dtype=np.int64)
+                assert run_batch(counting, z[:m], d=8, out=out) is out
+                assert out.tolist() == want[:m].tolist()
+                assert len(calls) == m % 8, (algorithm, m)
 
 
 class TestBatchContract:
@@ -144,13 +166,6 @@ class TestThreads:
             assert np.array_equal(run_batch(prep, z, d=8, threads=threads), single)
         assert np.array_equal(single, want)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("FASTSEARCH_THREADS", "3")
-        assert resolve_threads(None) == 3
-        assert resolve_threads(2) == 2  # explicit wins
-        monkeypatch.delenv("FASTSEARCH_THREADS")
-        assert resolve_threads(None) == 1
-
     def test_invalid_thread_count(self):
         """Counts are checked on every batch, all-scalar ones included,
         before anything is written."""
@@ -159,18 +174,10 @@ class TestThreads:
         out = np.full(len(z), -1, dtype=np.int64)
         for threads, error in ((0, ValueError), (2.5, TypeError)):
             match = "thread count|interpreted as an integer"
-            with pytest.raises(error, match=match):
-                resolve_threads(threads)
             for algorithm, d in (("classic", 8), ("direct", 1)):
                 with pytest.raises(error, match=match):
                     run_batch(prepare(algorithm, p), z, d=d, threads=threads, out=out)
         assert (out == -1).all()
-
-    @pytest.mark.parametrize("value", ["many", "2.5", "0x4"])
-    def test_non_integer_env_names_variable(self, value, monkeypatch):
-        monkeypatch.setenv("FASTSEARCH_THREADS", value)
-        with pytest.raises(ValueError, match=f"FASTSEARCH_THREADS.*{value!r}"):
-            resolve_threads(None)
 
     @pytest.fixture
     def recording_executor(self, monkeypatch):
@@ -206,9 +213,17 @@ class TestThreads:
         want = linear_scan_oracle_batch(p, z)
         prep = prepare("direct", p)
         assert np.array_equal(run_batch(prep, z, d=8, threads=100_000), want)
-        monkeypatch.setenv("FASTSEARCH_THREADS", "100000")
-        assert np.array_equal(run_batch(prep, z, d=8), want)
-        assert recording_executor == [4, 4]
+        assert recording_executor == [4]
+
+    def test_default_is_one_thread(self, workload, recording_executor, monkeypatch):
+        """Without a thread count, a batch of several lane blocks runs
+        inline on the calling thread."""
+        monkeypatch.setattr(batch.os, "cpu_count", lambda: 4)
+        p = workload[0]
+        z = random_queries(p, 5 * batch._BLOCK + 3, seed=2003)
+        want = linear_scan_oracle_batch(p, z)
+        assert np.array_equal(run_batch(prepare("direct", p), z, d=8), want)
+        assert recording_executor == []
 
     @pytest.mark.parametrize(
         "algorithm, scalar_d", [("classic", 8), ("direct", 1)], ids=["classic", "direct"]
@@ -313,6 +328,20 @@ class TestQueryConversion:
         want = linear_scan_oracle_batch(p, np.array(values, dtype=np.float64))
         got = run_batch(prepare("direct", p), np.array(values, dtype=object), d=d)
         assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("big", [10**400, -(10**400)], ids=["positive", "negative"])
+    @pytest.mark.parametrize("d", [1, 8])
+    def test_int_past_float_range_out_of_domain(self, big, d):
+        """A Python int too large for a float is out of the domain: it
+        raises OutOfDomain at its position, and nothing is written."""
+        p = gen_uniform_gap_partition(255, 1, 5, seed=2012)
+        prep = prepare("direct", p)
+        out = np.full(3, -1, dtype=np.int64)
+        for queries, position in (([big], 0), ([1.5, 2, big], 2)):
+            with pytest.raises(OutOfDomain) as exc:
+                run_batch(prep, queries, d=d, out=out[: len(queries)])
+            assert exc.value.position == position
+        assert (out == -1).all()
 
     @pytest.mark.parametrize("d", [1, 8])
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -462,14 +491,14 @@ class TestProbeScheduleReads:
         """({name: table}, reference(**lists, z)) for one probe-schedule
         kernel; the names are those its compiled scalar binds."""
         n = p.n_intervals
-        probe = binsearch.probe_constant(n)
-        c = binsearch.offset_constants(n)
+        probe = probe_constant(n)
+        f, s, j = offset_constants(n)
         lay = eytzinger.build_layout(p)
         return {
             "bitset1": ({"xs": p.values}, lambda xs, z: bitset1_seq(xs, n, probe, z)),
             "bitset2": ({"xs": pad_right_pow2(p)}, lambda xs, z: bitset2_seq(xs, probe, z)),
             "bitset3": ({"xs": p.values}, lambda xs, z: bitset3_seq(xs, n, probe, z)),
-            "offset": ({"xs": p.values}, lambda xs, z: offset_seq(xs, c.F, c.S, c.J, z)),
+            "offset": ({"xs": p.values}, lambda xs, z: offset_seq(xs, f, s, j, z)),
             "eytzinger": (
                 {"t": lay.tree, "xs": p.values},
                 lambda t, xs, z: eytzinger_seq(t, xs, lay.L, z),

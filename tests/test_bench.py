@@ -202,6 +202,16 @@ class TestPersistence:
         assert loaded < idx.k.nbytes * 5 // 4, (loaded, idx.k.nbytes)
         assert np.array_equal(back.k, idx.k)
 
+    @pytest.mark.parametrize("q", [256, 1000])
+    def test_gap_past_header_byte_rejected(self, tmp_path, q):
+        """The header stores the gap as a u8: a wider gap raises ValueError
+        naming it, and no file is written."""
+        _, idx = self.make_index(q=q)
+        path = tmp_path / "table.idx"
+        with pytest.raises(ValueError, match=f"gap {q} "):
+            save_index(idx, path)
+        assert not path.exists()
+
     def test_corrupt_payload_byte(self, tmp_path):
         p, idx = self.make_index()
         path = tmp_path / "c.idx"
@@ -492,6 +502,16 @@ class TestIndexCli:
         code = index_main(["load", "--path", str(out), "--partition", str(knots)])
         assert code == 0
         assert "gap=2" in capsys.readouterr().out
+
+    def test_gap_past_header_byte_is_usage_error(self, tmp_path, capsys):
+        knots = self.write_partition(tmp_path, [0.0, 1.0, 2.0, 3.0, 4.0])
+        out = tmp_path / "g256.idx"
+        code = index_main(
+            ["save", "--path", str(out), "--partition", str(knots), "--gap", "256"]
+        )
+        assert code == 1
+        assert "gap 256" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tampered_k_entry_is_bad_index(self, tmp_path, capsys):
         """A K entry past N under a recomputed CRC is reported as a bad

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fastsearch.binsearch import classic_seq, offset_constants, probe_constant
+from fastsearch.binsearch import bit_schedule, classic_seq, offset_schedule
 from fastsearch.partition import (
     gen_uniform_gap_partition,
     linear_scan_oracle,
@@ -10,7 +10,14 @@ from fastsearch.partition import (
 )
 
 from helpers import CountingList, boundary_probes, random_queries
-from reference import bitset1_seq, bitset2_seq, bitset3_seq, offset_seq
+from reference import (
+    bitset1_seq,
+    bitset2_seq,
+    bitset3_seq,
+    offset_constants,
+    offset_seq,
+    probe_constant,
+)
 
 
 def all_searchers(p):
@@ -18,13 +25,13 @@ def all_searchers(p):
     xs, n = p.values, p.n_intervals
     padded = pad_right_pow2(p)
     probe = probe_constant(n)
-    c = offset_constants(n)
+    f, s, j = offset_constants(n)
     return {
         "classic": lambda z: classic_seq(xs, n, z),
         "bitset1": lambda z: bitset1_seq(xs, n, probe, z),
         "bitset2": lambda z: bitset2_seq(padded, probe, z),
         "bitset3": lambda z: bitset3_seq(xs, n, probe, z),
-        "offset": lambda z: offset_seq(xs, c.F, c.S, c.J, z),
+        "offset": lambda z: offset_seq(xs, f, s, j, z),
     }
 
 
@@ -59,15 +66,37 @@ class TestExamples:
 class TestOffsetConstants:
     @pytest.mark.parametrize("n,f,s,j", [(7, 4, 4, 3), (1, 1, 1, 1), (14, 7, 8, 3)])
     def test_values(self, n, f, s, j):
-        c = offset_constants(n)
-        assert (c.F, c.S, c.J) == (f, s, j)
+        assert offset_constants(n) == (f, s, j)
 
     def test_invariants(self):
         for n in range(1, 200):
-            c = offset_constants(n)
-            assert c.F >= 1 and c.S >= 1
-            assert c.F + c.S == n + 1
-            assert 2 ** c.J <= n + 1 < 2 ** (c.J + 1)
+            f, s, j = offset_constants(n)
+            assert f >= 1 and s >= 1
+            assert f + s == n + 1
+            assert 2**j <= n + 1 < 2 ** (j + 1)
+
+
+class TestSchedules:
+    """The library's probe schedules, for every N from 1 to 4096."""
+
+    def test_bit_schedule_is_powers_of_two(self):
+        for n in range(1, 4097):
+            top = n.bit_length() - 1  # floor(log2 N)
+            assert bit_schedule(n) == [2**e for e in range(top, -1, -1)], n
+            assert bit_schedule(n)[0] == probe_constant(n)
+
+    def test_offset_schedule_sums_to_n(self):
+        for n in range(1, 4097):
+            steps = offset_schedule(n)
+            assert sum(steps) == n, n
+            assert len(steps) == (n + 1).bit_length(), n
+            f, s, j = offset_constants(n)
+            assert steps[0] == f and len(steps) == j + 1, n
+
+    @pytest.mark.parametrize("schedule", [bit_schedule, offset_schedule])
+    def test_needs_an_interval(self, schedule):
+        with pytest.raises(ValueError, match="at least one interval"):
+            schedule(0)
 
 
 class TestOracleEquivalence:
@@ -90,13 +119,13 @@ class TestOracleEquivalence:
         n = p.n_intervals
         padded = pad_right_pow2(p).tolist()
         probe = probe_constant(n)
-        c = offset_constants(n)
+        f, s, j = offset_constants(n)
         # classic doubles as the reference here; it is itself oracle-checked above
         want = [classic_seq(xs, n, v) for v in z.tolist()]
         assert [bitset1_seq(xs, n, probe, v) for v in z.tolist()] == want
         assert [bitset2_seq(padded, probe, v) for v in z.tolist()] == want
         assert [bitset3_seq(xs, n, probe, v) for v in z.tolist()] == want
-        assert [offset_seq(xs, c.F, c.S, c.J, v) for v in z.tolist()] == want
+        assert [offset_seq(xs, f, s, j, v) for v in z.tolist()] == want
 
 
 class TestIterationCounts:
@@ -122,13 +151,13 @@ class TestIterationCounts:
     @pytest.mark.parametrize("size", [2, 3, 9, 15, 16, 17, 255])
     def test_offset_fixed_reads(self, size):
         p = gen_uniform_gap_partition(size, 1, 5, seed=size)
-        c = offset_constants(p.n_intervals)
+        f, s, j = offset_constants(p.n_intervals)
         counts = set()
         for z in [p.values[0], np.nextafter(p.values[-1], -np.inf), p.values[size // 2]]:
             guard = CountingList(p.values)
-            offset_seq(guard, c.F, c.S, c.J, float(z))
+            offset_seq(guard, f, s, j, float(z))
             counts.add(guard.reads)
-        assert counts == {c.J + 1}
+        assert counts == {j + 1}
 
 
 class TestProbeBounds:

@@ -176,6 +176,22 @@ class TestBuildIndex:
         for j in range(r + 1):
             assert idx.k[j] == max(i for i in range(len(f)) if f[i] <= j)
 
+    @pytest.mark.parametrize("q", [0, -1])
+    def test_gap_below_one_rejected(self, q):
+        """As in compute_h_r, a gap below 1 is refused before the table is
+        allocated.  Such an index makes no correcting comparison, so it
+        answered wherever K's candidate is one past the answer."""
+        p = gen_uniform_gap_partition(4096, 1, 5, seed=24)
+        h, r, _ = compute_h_r(p)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="gap must be >= 1"):
+                build_index(p, h, r, q=q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < r, (peak, r)
+
     def test_inconsistent_pair_rejected(self):
         p = worked_partition()
         h, r, _ = compute_h_r(p)

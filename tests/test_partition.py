@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fastsearch.binsearch import probe_constant
 from fastsearch.errors import (
     NonFinite,
     NotStrictlyIncreasing,
@@ -21,6 +20,7 @@ from fastsearch.partition import (
 )
 
 from helpers import boundary_probes
+from reference import probe_constant
 
 
 class TestValidate:
@@ -48,6 +48,17 @@ class TestValidate:
         with pytest.raises(NonFinite) as exc:
             validate_partition([0, 1, np.inf])
         assert exc.value.position == 2
+
+    @pytest.mark.parametrize(
+        "raw, position",
+        [([0, 10**400], 1), ([0, -(10**400)], 1), ([-(10**400), 0, 10**400], 0)],
+    )
+    def test_int_past_float_range_is_non_finite(self, raw, position):
+        """A Python int too large for a float is reported where it sits, as
+        an infinity would be, not as a bare OverflowError."""
+        with pytest.raises(NonFinite) as exc:
+            validate_partition(raw)
+        assert exc.value.position == position
 
     def test_too_short(self):
         with pytest.raises(TooShort):
