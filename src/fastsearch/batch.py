@@ -394,7 +394,8 @@ def run_batch(
         raise ValueError(f"queries must be 1-D, got {z.ndim} dimensions")
     xs = prepared.partition.values
     try:
-        z = z.astype(xs.dtype, copy=False)
+        with np.errstate(over="ignore"):  # a float past float32's range: inf
+            z = z.astype(xs.dtype, copy=False)
     except OverflowError:
         raise OutOfDomain(position=overflow_at(z)) from None
     m = len(z)

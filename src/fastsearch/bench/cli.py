@@ -14,7 +14,9 @@
     index load --path table.idx [--partition knots.csv]
 
 Partition files hold one value per line (blank lines and ``#`` comments
-ignored) and are validated on ingestion.
+ignored) and are validated on ingestion.  ``index load --partition``
+proves the index exact for the partition: its H separates the knots at
+its gap, and its K is the table the construction builds from that H.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible-only sweep, 3 I/O error.
 """
@@ -27,9 +29,9 @@ import sys
 import numpy as np
 
 from ..batch import ALGORITHMS
-from ..direct import build, direct_search
+from ..direct import build, build_index, separates
 from ..errors import IndexFileError, PartitionError
-from ..partition import gen_queries, linear_scan_oracle_batch, validate_partition
+from ..partition import validate_partition
 from . import persist
 from .harness import run_setup_stats, run_throughput
 from .report import emit_report
@@ -162,9 +164,8 @@ def _build_index_parser() -> _Parser:
     ld = sub.add_parser("load", help="load an index, print a summary, optionally verify")
     ld.add_argument("--path", required=True)
     ld.add_argument("--partition", default=None,
-                    help="optional partition file to verify searches against")
-    ld.add_argument("--verify-queries", type=int, default=10_000)
-    ld.add_argument("--seed", type=int, default=42)
+                    help="partition file to verify against: the index's H must "
+                         "separate its knots and its K be the table built from H")
     return parser
 
 
@@ -197,14 +198,17 @@ def index_main(argv=None) -> int:
                 print("index: error: partition does not match the index",
                       file=sys.stderr)
                 return EXIT_USAGE
-            queries = gen_queries(p, args.verify_queries, seed=args.seed)
-            want = linear_scan_oracle_batch(p, queries)
-            got = [direct_search(idx, p, z) for z in queries.tolist()]
-            if got != want.tolist():
-                print("index: error: loaded index disagrees with the oracle",
-                      file=sys.stderr)
-                return EXIT_IO
-            print(f"verified {len(queries)} queries against the oracle")
+            # Separation first: the build refuses a gap-1 H that puts X_{N-1} in bucket R.
+            if not separates(p.values, idx.h, idx.q):
+                raise IndexFileError(f"h does not separate the knots at gap {idx.q}")
+            try:
+                differ = build_index(p, idx.h, idx.r, idx.q).k != idx.k
+            except ValueError as exc:  # R is not f(X_N), or R + 1 is past the limit
+                raise IndexFileError(str(exc)) from None
+            if differ.any():
+                j = int(np.argmax(differ))
+                raise IndexFileError(f"K[{j}] = {idx.k[j]} is not the table built from h")
+            print("verified: h separates the knots and K is the table built from h")
         return EXIT_OK
     except PartitionError as exc:
         print(f"index: invalid partition: {exc}", file=sys.stderr)

@@ -132,9 +132,7 @@ def run_throughput(
     for precision in precisions:
         for size in sizes:
             part_seed, query_seed = root.spawn(1)[0].generate_state(2)
-            p = gen_uniform_gap_partition(
-                size, gap_lo, gap_hi, seed=int(part_seed), precision=precision
-            )
+            p = gen_uniform_gap_partition(size, gap_lo, gap_hi, int(part_seed), precision)
             z = gen_queries(p, queries, int(query_seed))
             expected = linear_scan_oracle_batch(p, z)
             out = np.empty(queries, dtype=np.int64)
@@ -160,17 +158,9 @@ def run_throughput(
                             f"query {j} (z={z[j]}): got {out[j]}, want {expected[j]}"
                         )
                     per_pass = _measure(run_pass, repetitions, min_time)
-                    rows.append(
-                        ThroughputRow(
-                            algorithm=algorithm,
-                            precision=precision,
-                            lane_width=d,
-                            size=size,
-                            throughput_msps=queries / per_pass / 1e6,
-                            queries=queries,
-                            repetitions=repetitions,
-                        )
-                    )
+                    msps = queries / per_pass / 1e6
+                    rows.append(ThroughputRow(algorithm, precision, d, size, msps,
+                                              queries, repetitions))
     return ThroughputReport(rows=rows, skipped=skipped)
 
 
@@ -199,9 +189,7 @@ def run_setup_stats(
         per_elem_ns: list[float] = []
         failed = 0
         for s in seeds:
-            p = gen_uniform_gap_partition(
-                size, gap_lo, gap_hi, seed=int(s), precision=precision
-            )
+            p = gen_uniform_gap_partition(size, gap_lo, gap_hi, int(s), precision)
             t0 = time.perf_counter_ns()
             try:
                 h, r, stats = compute_h_r(p, q=1)

@@ -27,13 +27,13 @@ def bit_schedule(n: int) -> list[int]:
 
 def offset_schedule(n: int) -> list[int]:
     """The offset search's schedule: the start index F = (N+1)//2, then
-    the floor(log2(N+1)) halves of a range that starts at N + 1 - F and
-    shrinks deterministically.  The steps sum to N."""
+    the halves of a range that starts at N + 1 - F and shrinks
+    deterministically to one index.  The steps sum to N; none is 0."""
     if n < 1:
         raise ValueError("need at least one interval")
     f = (n + 1) >> 1
     steps, s = [f], n + 1 - f
-    for _ in range((n + 1).bit_length() - 1):
+    while s > 1:
         steps.append(s >> 1)
         s -= s >> 1
     return steps

@@ -27,7 +27,7 @@ whose table would hold more buckets than ``_max_buckets(N)`` (Overflow)
 are rejected before any table is allocated.
 
 Certification and the table fill walk the knots in fixed windows and
-chunks with scratch buffers allocated once per call, so set-up allocates
+chunks with scratch buffers allocated once per pass, so set-up allocates
 the tables it keeps plus a few chunk-sized buffers: no N- or R-sized
 temporary.  K is allocated once, at its final size; a fused index keeps
 only its records, whose ``idx`` field is its K.
@@ -135,6 +135,22 @@ def _floors(x, x0, h, out):
     return np.floor(out, out=out)
 
 
+def separates(xs: np.ndarray, h, q: int = 1) -> bool:
+    """Whether floor(h * D_i) > floor(h * D_{i-q}) for every i >= q, in the
+    knots' precision, where D_i = X_i - X_0 (vacuous for q > N).  A NaN or
+    overflowed product fails the comparison without a warning."""
+    n, x0 = len(xs) - 1, xs[0]
+    off = np.empty(min(_WINDOW, n) + q, dtype=xs.dtype)
+    hit = np.empty(min(_WINDOW, n), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(q, n + 1, _WINDOW):
+            b = min(a + _WINDOW, n + 1)
+            f = _floors(xs[a - q : b], x0, h, off[: b - a + q])
+            if not np.greater(f[q:], f[:-q], out=hit[: b - a]).all():
+                return False
+    return True
+
+
 def compute_h_r(p: SortedPartition, q: int = 1):
     """Certified scale factor and bucket count for a direct index.
 
@@ -167,28 +183,17 @@ def compute_h_r(p: SortedPartition, q: int = 1):
     width = min(_WINDOW, n + 1 - basis)
     off = np.empty(width + basis, dtype=xs.dtype)
     step = np.empty(width, dtype=xs.dtype)
-    hit = np.empty(width, dtype=bool)
 
     smallest = scalar(np.inf)
     for a in range(basis, n + 1, _WINDOW):
         b = min(a + _WINDOW, n + 1)
         o = np.subtract(xs[a - basis : b], x0, out=off[: b - a + basis])
         low = np.subtract(o[basis:], o[:-basis], out=step[: b - a]).min()
-        # Offsets never decrease, so a collision shows as a step of zero,
-        # or of NaN where both offsets overflowed to infinity.
+        # Offsets never decrease, so a step that is not positive is a
+        # collision: zero, or NaN where both offsets overflowed to infinity.
         if not low > 0 and basis == q:
-            collide = np.equal(o[q:], o[:-q], out=hit[: b - a])
-            if collide.any():
-                raise NotDistinguishable(a + int(np.argmax(collide)))
+            raise NotDistinguishable(a + int(np.argmin(step[: b - a] > 0)))
         smallest = np.minimum(smallest, low)
-
-    def separated(h) -> bool:
-        for a in range(q, n + 1, _WINDOW):
-            b = min(a + _WINDOW, n + 1)
-            f = _floors(xs[a - q : b], x0, h, off[: b - a + q])
-            if not np.greater(f[q:], f[:-q], out=hit[: b - a]).all():
-                return False
-        return True
 
     limit = _max_buckets(n)
     span = xs[-1] - x0
@@ -200,15 +205,12 @@ def compute_h_r(p: SortedPartition, q: int = 1):
         increments = 0
         # R + 1 <= limit exactly when floor(h * span) < limit.  The Python
         # comparison is exact, and false for an infinite or NaN product.
-        while float(h * span) < limit and not separated(h):
+        while float(h * span) < limit and not separates(xs, h, q):
             h = h + growth
             increments += 1
             growth = growth + growth
         if not float(h * span) < limit:
-            raise Overflow(
-                f"{np.floor(h * span) + 1:.0f} buckets after {increments} "
-                f"growth steps, over the limit of {limit} for N = {n}"
-            )
+            raise Overflow(float(np.floor(h * span)) + 1, limit, n)
 
     r = int(np.floor(h * span))
     return h, r, HGrowthStats(increments, growth_total=float(h - h_start))
@@ -284,8 +286,9 @@ def build_index(
     N- or R-sized temporary.  With ``fused`` (gap 1 only) it allocates
     only the (index, knot value) records and fills their ``idx`` field
     as K; the returned index's ``k`` is then None.  Raises ValueError for
-    a gap below 1 and Overflow when R + 1 exceeds ``_max_buckets(N)``,
-    both before allocating anything.
+    a gap below 1, for r other than f(X_N) and, at gap 1, for f(X_{N-1})
+    not below r, and Overflow when R + 1 exceeds ``_max_buckets(N)``, all
+    before allocating anything.
     """
     n = p.n_intervals
     if q < 1:
@@ -293,13 +296,14 @@ def build_index(
     if n >= 2 ** 32:
         raise ValueError("table entries are 32-bit; partition is too large")
     if r + 1 > _max_buckets(n):
-        raise Overflow(
-            f"{r + 1} buckets for the given (h, r), over the limit of "
-            f"{_max_buckets(n)} for N = {n}"
-        )
+        raise Overflow(r + 1, _max_buckets(n), n)
     xs = p.values
-    if _floors(xs[-1:], xs[0], h, np.empty(1, xs.dtype)).astype(np.int64)[0] != r:
-        raise ValueError("(h, r) pair is inconsistent with this partition")
+    with np.errstate(over="ignore", invalid="ignore"):
+        last = _floors(xs[-2:], xs[0], h, np.empty(2, xs.dtype)).tolist()
+    if last[1] != r:
+        raise ValueError(f"R = {r} is not f(X_N) = {last[1]:.0f} for this h")
+    if q == 1 and last[0] >= r:
+        raise ValueError(f"f(X_{n - 1}) = {last[0]:.0f} is not below R = {r}, as gap 1 needs")
     if fused and q != 1:
         raise ValueError("fused records pair with the gap-1 kernel")
     if fused:

@@ -56,11 +56,16 @@ class NotDistinguishable(InfeasibleError):
 
 
 class Overflow(InfeasibleError):
-    """The table's R + 1 buckets would exceed its limit: 32 a knot, at
-    least 2**22, at most 2**32.  Raised before anything R-sized exists."""
+    """R + 1 = ``buckets`` (inf when H overflowed) would exceed ``limit``, the
+    most buckets a table over ``n`` intervals may hold: 32 a knot, at least
+    2**22, at most 2**32.  Raised before anything R-sized exists."""
 
-    def __init__(self, message: str = "bucket index would overflow"):
-        super().__init__(message)
+    def __init__(self, buckets, limit: int, n: int):
+        self.buckets, self.limit, self.n = buckets, limit, n
+        super().__init__(f"{buckets:.0f} buckets over the limit of {limit} for N = {n}")
+
+    def __reduce__(self):  # pickle rebuilds the error from its counts
+        return type(self), (self.buckets, self.limit, self.n)
 
 
 class IndexFileError(Exception):

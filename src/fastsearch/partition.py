@@ -112,7 +112,8 @@ def validate_partition(raw, precision: str | None = None) -> SortedPartition:
     if raw.ndim != 1:
         raise PartitionError(f"a partition must be 1-D, got shape {raw.shape}")
     try:
-        values = np.array(raw, dtype=dtype_of(precision))  # copy: never alias caller data
+        with np.errstate(over="ignore"):  # a float past float32's range: inf
+            values = np.array(raw, dtype=dtype_of(precision))  # copy: never alias caller data
     except OverflowError:
         raise NonFinite(overflow_at(raw)) from None
     if len(values) < 2:

@@ -16,6 +16,7 @@ from fastsearch.partition import (
     linear_scan_oracle,
     linear_scan_oracle_batch,
     pad_right_pow2,
+    validate_partition,
 )
 
 from helpers import CountingList, boundary_probes, random_queries
@@ -343,6 +344,23 @@ class TestQueryConversion:
             assert exc.value.position == position
         assert (out == -1).all()
 
+    @pytest.mark.parametrize("big", [1e39, -1e39], ids=["positive", "negative"])
+    @pytest.mark.parametrize("container", [list, np.array], ids=["list", "float64-array"])
+    @pytest.mark.parametrize("d", [1, 8])
+    def test_double_past_single_range_out_of_domain(self, single, big, container, d):
+        """A finite double past float32's range converts to an infinity on
+        a single partition: OutOfDomain at its position, raised under
+        ``-W error`` instead of the cast's overflow warning."""
+        prep = prepare("direct", single)
+        for queries, position in (([big], 0), ([1.5, 2.0, big], 2)):
+            with pytest.raises(OutOfDomain) as exc:
+                run_batch(prep, container(queries), d=d)
+            assert exc.value.position == position
+        tiny = prepare("direct", validate_partition([0.0, 1.0, 2.0], precision="single"))
+        with pytest.raises(OutOfDomain) as exc:
+            run_batch(tiny, container([big]), d=d)
+        assert exc.value.position == 0
+
     @pytest.mark.parametrize("d", [1, 8])
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_input_must_be_one_dimensional(self, single, algorithm, d):
@@ -509,13 +527,20 @@ class TestProbeScheduleReads:
         tables, seq = self.reference(algorithm, p)
         lists = {name: table.tolist() for name, table in tables.items()}
         prep = prepare(algorithm, p)
+        n = p.n_intervals
+        # When N + 1 is a power of two, offset_seq's last step is 0: it
+        # rereads X_i at the answer, a read the library's schedule drops.
+        spare = int(algorithm == "offset" and (n + 1) & n == 0)
         for z in boundary_probes(p).tolist():
             got = {name: CountingList(data) for name, data in lists.items()}
             want = {name: CountingList(data) for name, data in lists.items()}
             answer = prep.scalar(z, **got)
             assert answer == seq(**want, z=z) == linear_scan_oracle(p, z), z
             for name in lists:
-                assert got[name].served == want[name].served, (name, z)
+                served = want[name].served
+                assert got[name].served == served[: len(served) - spare], (name, z)
+            if spare:
+                assert want["xs"].served[-1] == answer, z
 
     @pytest.mark.parametrize("size", [2, 3, 9, 15, 16, 17, 255, 256, 257, 384])
     @pytest.mark.parametrize("algorithm", PROBE_KERNELS)

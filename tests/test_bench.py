@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import struct
@@ -22,7 +23,7 @@ from fastsearch.bench.harness import (
 from fastsearch.bench import persist
 from fastsearch.bench.persist import load_index, save_index
 from fastsearch.bench.report import emit_report
-from fastsearch.direct import build, direct_search
+from fastsearch.direct import build, build_index, compute_h_r, direct_search, separates
 from fastsearch.errors import (
     BadMagic,
     ChecksumMismatch,
@@ -432,6 +433,9 @@ class TestBenchCli:
         assert captured.out.startswith("algorithm,")  # header-only report
 
 
+VERIFIED = "verified: h separates the knots and K is the table built from h"
+
+
 class TestIndexCli:
     def write_partition(self, tmp_path, values):
         path = tmp_path / "knots.csv"
@@ -445,17 +449,10 @@ class TestIndexCli:
         assert code == 0
         assert "wrote" in capsys.readouterr().out
 
-        code = index_main(
-            [
-                "load",
-                "--path", str(out),
-                "--partition", str(knots),
-                "--verify-queries", "500",
-            ]
-        )
+        code = index_main(["load", "--path", str(out), "--partition", str(knots)])
         printed = capsys.readouterr().out
         assert code == 0
-        assert "verified 500 queries" in printed
+        assert VERIFIED in printed
         assert "n=3 r=5" in printed
 
     def test_load_bad_file_is_io_error(self, tmp_path, capsys):
@@ -530,6 +527,72 @@ class TestIndexCli:
         code = index_main(["load", "--path", str(out), "--partition", str(knots)])
         assert code == 3
         assert "bad index file" in capsys.readouterr().err
+
+    def test_one_bucket_raised_is_rejected(self, tmp_path, capsys):
+        """One K entry raised by 1, kept at or below N under a recomputed
+        CRC, is named by its bucket: queries in that bucket would get wrong
+        answers, and a query sample would rarely land there."""
+        p = gen_uniform_gap_partition(2**16 + 1, 1, 5, seed=5)
+        knots = self.write_partition(tmp_path, p.values.tolist())
+        out = tmp_path / "t.idx"
+        assert index_main(["save", "--path", str(out), "--partition", str(knots)]) == 0
+        raw = bytearray(out.read_bytes())
+        k = np.frombuffer(raw, dtype="<u4", offset=48, count=(len(raw) - 52) // 4).copy()
+        j = len(k) // 2
+        assert k[j] < p.n_intervals
+        k[j] += 1
+        raw[48:-4] = k.tobytes()
+        raw[-4:] = struct.pack("<I", zlib.crc32(k.tobytes()))
+        out.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert index_main(["load", "--path", str(out), "--partition", str(knots)]) == 3
+        err = capsys.readouterr().err
+        assert f"bad index file: K[{j}] = {k[j]} is not the table built from h" in err
+
+    def test_non_separating_h_is_rejected(self, tmp_path, capsys):
+        """K built from H / 1.5 with its own consistent R is that H's table,
+        but that H puts two knots in one bucket."""
+        p = gen_uniform_gap_partition(1025, 1, 5, seed=5)
+        h, _, _ = compute_h_r(p)
+        h = h / 1.5
+        r = int(np.floor(h * (p.values[-1] - p.values[0])))
+        assert not separates(p.values, h, 1)
+        out = tmp_path / "t.idx"
+        save_index(build_index(p, h, r, 1), out)
+        knots = self.write_partition(tmp_path, p.values.tolist())
+        assert index_main(["load", "--path", str(out), "--partition", str(knots)]) == 3
+        err = capsys.readouterr().err
+        assert "bad index file: h does not separate the knots at gap 1" in err
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("gap", [1, 2, 3])
+    def test_saved_files_verify(self, tmp_path, capsys, gap, precision):
+        """Every file ``index save`` writes verifies against its partition,
+        and so does the same file with H one ulp up or down: that H still
+        separates the knots and builds the same K."""
+        p = gen_uniform_gap_partition(1000, 1, 5, seed=gap, precision=precision)
+        knots = self.write_partition(tmp_path, p.values.tolist())
+        out = tmp_path / "t.idx"
+        save = ["save", "--path", str(out), "--partition", str(knots)]
+        assert index_main(save + ["--gap", str(gap), "--precision", precision]) == 0
+        idx = load_index(out)
+        for h in (idx.h, np.nextafter(idx.h, idx.h.dtype.type(np.inf)),
+                  np.nextafter(idx.h, idx.h.dtype.type(-np.inf))):
+            save_index(dataclasses.replace(idx, h=h), out)
+            capsys.readouterr()
+            assert index_main(["load", "--path", str(out), "--partition", str(knots)]) == 0
+            assert VERIFIED in capsys.readouterr().out
+
+    def test_no_sampling_options(self, tmp_path, capsys):
+        """``index load`` takes no sampling options."""
+        knots = self.write_partition(tmp_path, [0.0, 0.5, 0.7, 1.1])
+        out = tmp_path / "t.idx"
+        assert index_main(["save", "--path", str(out), "--partition", str(knots)]) == 0
+        for option in (["--verify-queries", "500"], ["--seed", "1"]):
+            load = ["load", "--path", str(out), "--partition", str(knots)]
+            with pytest.raises(SystemExit) as exc:
+                index_main(load + option)
+            assert exc.value.code == 1
 
 
 def test_perfbench_rebuild_smoke():

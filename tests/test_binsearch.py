@@ -86,12 +86,16 @@ class TestSchedules:
             assert bit_schedule(n)[0] == probe_constant(n)
 
     def test_offset_schedule_sums_to_n(self):
+        """The paper's F and J halvings, less the step of 0 they end in
+        when N + 1 is a power of two: that probe reads X_i and cannot
+        move i."""
         for n in range(1, 4097):
             steps = offset_schedule(n)
             assert sum(steps) == n, n
-            assert len(steps) == (n + 1).bit_length(), n
+            assert 0 not in steps, n
             f, s, j = offset_constants(n)
-            assert steps[0] == f and len(steps) == j + 1, n
+            spare = int((n + 1) & n == 0)  # N + 1 is a power of two
+            assert steps[0] == f and len(steps) == j + 1 - spare, n
 
     @pytest.mark.parametrize("schedule", [bit_schedule, offset_schedule])
     def test_needs_an_interval(self, schedule):

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from fastsearch.direct import (
     closed_form_h_r,
     compute_h_r,
     direct_search,
+    separates,
     with_fused,
 )
 from fastsearch.errors import NotDistinguishable, OutOfDomain, Overflow
@@ -198,6 +200,27 @@ class TestBuildIndex:
         with pytest.raises(ValueError):
             build_index(p, h, r + 3)
 
+    @pytest.mark.parametrize("div", [2, 4])
+    def test_last_knot_in_last_bucket_rejected(self, div):
+        """At gap 1 every knot i adds one at bucket f(X_{i-1}) + 1, so a
+        consistent (h, r) with f(X_{N-1}) = R would write past K.  It is
+        refused by name before K is allocated; gap 2 adds at f(X_i) <= R
+        and builds."""
+        p = gen_uniform_gap_partition(2**16 + 1, 1, 5, seed=5)
+        h, _, _ = compute_h_r(p)
+        h = h / div
+        r = int(np.floor(h * (p.values[-1] - p.values[0])))
+        assert np.floor(h * (p.values[-2] - p.values[0])) == r
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"f\(X_65535\) = {r} is not below R = {r}"):
+                build_index(p, h, r, q=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < r, (peak, r)
+        assert build_index(p, h, r, q=2).table[-1] == p.n_intervals
+
 
 class TestSearchKernels:
     def test_worked_example_queries(self):
@@ -297,6 +320,83 @@ class TestBracketing:
         t = idx.k[j].astype(np.int64)
         offsets = set((t - want).tolist())
         assert offsets <= allowed
+
+
+class TestSeparates:
+    """``separates`` is certification's separation walk, which the index
+    CLI also runs on a loaded H."""
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_certified_h_separates(self, q, precision):
+        p = gen_uniform_gap_partition(20_000, 1, 5, seed=q, precision=precision)
+        h, _, _ = compute_h_r(p, q=q)
+        assert separates(p.values, h, q)
+        assert not separates(p.values, h / 8, q)
+
+    def test_matches_a_pair_by_pair_check(self):
+        p = gen_uniform_gap_partition(1025, 1, 5, seed=5)
+        h, _, _ = compute_h_r(p)
+        f = np.floor(h / 1.5 * (p.values - p.values[0]))
+        assert not (f[1:] > f[:-1]).all()
+        assert not separates(p.values, h / 1.5, 1)
+        assert separates(p.values, h / 1.5, 2) == (f[2:] > f[:-2]).all()
+
+    def test_vacuous_past_n(self):
+        p = validate_partition([0.0, 1.0, 2.0])
+        assert separates(p.values, 1e-9, 3)
+        assert not separates(p.values, 1e-9, 2)
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -1.0, 1e308])
+    def test_bad_h_fails_without_warning(self, h):
+        """pytest turns warnings into errors, so a NaN or overflowing
+        product that warned would raise here."""
+        p = validate_partition([0.0, 1.0, 2.0, 4.0])
+        assert not separates(p.values, h, 1)
+
+    def test_certification_calls_it(self, monkeypatch):
+        seen = []
+
+        def spy(xs, h, q=1):
+            seen.append((len(xs), q))
+            return real(xs, h, q)
+
+        real = direct.separates
+        monkeypatch.setattr(direct, "separates", spy)
+        compute_h_r(gen_uniform_gap_partition(300, 1, 5, seed=1), q=2)
+        assert seen and all(call == (300, 2) for call in seen)
+
+
+class TestOverflowCounts:
+    """Overflow carries R + 1, the limit and N, and its one message."""
+
+    @pytest.mark.parametrize(
+        "precision, buckets", [("single", 4_000_000_001), ("double", 4_000_000_000)]
+    )
+    def test_certification_counts(self, precision, buckets):
+        p = validate_partition([0.0, 2.5e-10, 1.0], precision)
+        with pytest.raises(Overflow) as exc:
+            compute_h_r(p)
+        assert (exc.value.buckets, exc.value.limit, exc.value.n) == (buckets, 1 << 22, 2)
+        assert str(exc.value) == f"{buckets} buckets over the limit of {1 << 22} for N = 2"
+
+    def test_overflowed_h_counts_infinite_buckets(self):
+        p = validate_partition(np.array([0.0, 1.42e-45, 1.0], dtype=np.float32))
+        with pytest.raises(Overflow, match="inf buckets") as exc:
+            compute_h_r(p)
+        assert exc.value.buckets == np.inf
+
+    def test_build_index_counts(self):
+        p = validate_partition([0.0, 0.5, 1.0])
+        with pytest.raises(Overflow) as exc:
+            build_index(p, np.float64(2.0**23), 1 << 23)
+        assert (exc.value.buckets, exc.value.limit, exc.value.n) == ((1 << 23) + 1, 1 << 22, 2)
+
+    def test_pickles_with_its_counts(self):
+        back = pickle.loads(pickle.dumps(Overflow(5, 4, 2)))
+        assert (back.buckets, back.limit, back.n, str(back)) == (
+            5, 4, 2, "5 buckets over the limit of 4 for N = 2"
+        )
 
 
 class TestTableLimit:

@@ -60,6 +60,16 @@ class TestValidate:
             validate_partition(raw)
         assert exc.value.position == position
 
+    @pytest.mark.parametrize("big", [1e39, -1e39], ids=["positive", "negative"])
+    @pytest.mark.parametrize("container", [list, np.array], ids=["list", "float64-array"])
+    def test_double_past_single_range_is_non_finite(self, big, container):
+        """A finite double past float32's range is an infinity in single
+        precision: NonFinite at its position, raised under ``-W error``
+        instead of the cast's overflow warning."""
+        with pytest.raises(NonFinite) as exc:
+            validate_partition(container([0.0, big]), precision="single")
+        assert exc.value.position == 1
+
     def test_too_short(self):
         with pytest.raises(TooShort):
             validate_partition([1.0])
