@@ -10,9 +10,9 @@ second.  Setup cost is excluded: structures are prepared before timing
 starts.  The timed queries are the array ``gen_queries`` returns, as is.
 
 Setup-cost methodology: per size, ``samples`` independent partitions are
-generated, and for each one the scale-factor computation plus table
-construction is timed; the report aggregates the growth-loop increment
-count and nanoseconds divided by the array size.
+generated, and for each one ``build``, the scale-factor computation plus
+table construction that ``prepare`` runs, is timed; the report aggregates
+the growth-loop increment count and nanoseconds divided by the array size.
 
 ``ThroughputRow`` and ``SetupStatsRow`` declare their reports' columns
 (see :mod:`.report`).
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..batch import ALGORITHMS, prepare, run_batch
-from ..direct import build_index, compute_h_r
+from ..direct import build
 from ..errors import InfeasibleError
 from ..partition import gen_queries, gen_uniform_gap_partition, linear_scan_oracle_batch
 
@@ -73,7 +73,6 @@ class SetupStatsRow:
 
 @dataclass(frozen=True)
 class SetupStatsReport:
-    precision: str
     rows: list[SetupStatsRow] = field(default_factory=list)
     infeasible: dict[int, int] = field(default_factory=dict)
 
@@ -140,7 +139,8 @@ def run_throughput(
                 try:
                     prep = prepare(algorithm, p)
                 except InfeasibleError as exc:
-                    skipped.append(InfeasibleSkipped(algorithm, size, precision, repr(exc)))
+                    cause = f"{type(exc).__name__}: {exc}"
+                    skipped.append(InfeasibleSkipped(algorithm, size, precision, cause))
                     continue
                 for d in d_widths:
                     def run_pass(prep=prep, d=d):
@@ -192,8 +192,7 @@ def run_setup_stats(
             p = gen_uniform_gap_partition(size, gap_lo, gap_hi, int(s), precision)
             t0 = time.perf_counter_ns()
             try:
-                h, r, stats = compute_h_r(p, q=1)
-                build_index(p, h, r, q=1)
+                _, stats = build(p)
             except InfeasibleError:
                 failed += 1
                 continue
@@ -205,4 +204,4 @@ def run_setup_stats(
         if updates:
             spread = (*_spread(updates), *_spread(per_elem_ns))
             rows.append(SetupStatsRow(size, len(updates), *spread))
-    return SetupStatsReport(precision=precision, rows=rows, infeasible=infeasible)
+    return SetupStatsReport(rows=rows, infeasible=infeasible)

@@ -23,8 +23,11 @@ Scale factor and origin travel as raw bit patterns (single-precision
 values widen exactly to binary64), so a round trip reproduces the index
 bit for bit and searches behave identically.
 
-The CRC covers K but not its meaning, so loading also rejects a K entry
-past N, which would send a search to a knot the partition lacks.
+The CRC covers neither the header nor K's meaning.  So before reading K,
+loading rejects an H that is not finite and positive, an X0 that is not
+finite, and either one that the file's precision cannot hold exactly;
+after, it rejects a K entry past N, which would send a search to a knot
+the partition lacks.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
+from math import isfinite
 
 import numpy as np
 
@@ -109,6 +113,16 @@ def load_index(path) -> DirectIndex:
             )
         if prec_code >= len(_PRECISIONS) or qbits not in (32, 64) or gap < 1:
             raise VersionMismatch(f"{path}: unrecognized header fields")
+        precision = _PRECISIONS[prec_code]
+        dtype = dtype_of(precision).type
+        with np.errstate(over="ignore"):  # a binary64 past float32's range: inf
+            h, x0 = dtype(h64), dtype(x064)
+        # As Python floats, since numpy would compare a float32 with a Python
+        # float in float32: a NaN, or a value the cast rounded, differs.
+        if not (isfinite(h64) and h64 > 0 and float(h) == h64):
+            raise IndexFileError(f"{path}: H = {h64!r} is not a finite positive {precision} value")
+        if not (isfinite(x064) and float(x0) == x064):
+            raise IndexFileError(f"{path}: X0 = {x064!r} is not a finite {precision} value")
         payload_len = (r + 1) * 4
         if os.fstat(f.fileno()).st_size < _HEADER.size + payload_len + 4:
             raise TruncatedFile(f"{path}: payload or checksum missing")
@@ -124,7 +138,6 @@ def load_index(path) -> DirectIndex:
     if largest > n:
         raise IndexFileError(f"{path}: K holds knot index {largest}, past N = {n}")
 
-    dtype = dtype_of(_PRECISIONS[prec_code]).type
     k = payload.astype(K_DTYPE, copy=False)
     k.setflags(write=False)
-    return DirectIndex(x0=dtype(x064), h=dtype(h64), r=int(r), q=int(gap), k=k, n=int(n))
+    return DirectIndex(x0=x0, h=h, r=int(r), q=int(gap), k=k, n=int(n))

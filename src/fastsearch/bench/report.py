@@ -31,15 +31,11 @@ def _cell(row, f) -> str:
     return str(value) if digits is None else f"{value:.{digits}f}"
 
 
-def emit_report(rows, fmt: str = "csv", kind: str | None = None) -> str:
+def emit_report(rows, fmt: str = "csv", *, kind: str) -> str:
     """Render rows as ``csv`` or ``md`` text; an empty set yields headers only.
 
-    ``kind`` is ``"throughput"`` or ``"setup"``; when omitted it follows
-    the first row, and an empty set is a throughput report.
+    ``kind`` is ``"throughput"`` or ``"setup"``.
     """
-    rows = list(rows)
-    if kind is None:
-        kind = "setup" if rows and not hasattr(rows[0], "algorithm") else "throughput"
     if kind not in _KINDS:
         raise ValueError(f"unknown report kind {kind!r}")
     row_type, key = _KINDS[kind]

@@ -35,7 +35,7 @@ only its records, whose ``idx`` field is its K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import ceil
 
 import numpy as np
@@ -81,10 +81,9 @@ _FUSED_DTYPES = {
 
 @dataclass(frozen=True)
 class HGrowthStats:
-    """How often and how far the scale factor grew past its initial guess."""
+    """How often the scale factor grew past its initial guess."""
 
     increments: int
-    growth_total: float
 
 
 @dataclass(frozen=True)
@@ -200,7 +199,6 @@ def compute_h_r(p: SortedPartition, q: int = 1):
     # inf - inf in the first increment when H is infinite; that H is refused.
     with np.errstate(over="ignore", invalid="ignore"):
         h = scalar(1.0) / smallest
-        h_start = h
         growth = np.nextafter(h, scalar(np.inf)) - h
         increments = 0
         # R + 1 <= limit exactly when floor(h * span) < limit.  The Python
@@ -213,7 +211,7 @@ def compute_h_r(p: SortedPartition, q: int = 1):
             raise Overflow(float(np.floor(h * span)) + 1, limit, n)
 
     r = int(np.floor(h * span))
-    return h, r, HGrowthStats(increments, growth_total=float(h - h_start))
+    return h, r, HGrowthStats(increments)
 
 
 def _fill_table(k: np.ndarray, xs: np.ndarray, h, q: int) -> None:
@@ -331,15 +329,9 @@ def build(p: SortedPartition, q: int = 1, fused: bool = False):
 
 
 def with_fused(idx: DirectIndex, p: SortedPartition) -> DirectIndex:
-    """The fused form of a gap-1 index: its K moved into (index, value)
-    records, with ``k`` None."""
-    if idx.q != 1:
-        raise ValueError("fused records pair with the gap-1 kernel")
-    fused = np.zeros(idx.r + 1, dtype=_FUSED_DTYPES[idx.precision])
-    fused["idx"] = idx.table
-    _fill_values(fused, p.values)
-    fused.setflags(write=False)
-    return replace(idx, k=None, fused=fused)
+    """The fused form of a gap-1 index: the records ``build_index`` fills for
+    its (h, r), with ``k`` None; raises ValueError as ``build_index`` does."""
+    return build_index(p, idx.h, idx.r, q=idx.q, fused=True)
 
 
 def direct_search(idx: DirectIndex, p: SortedPartition, z) -> int:

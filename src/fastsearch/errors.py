@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An error that carries values passes them, not its message, to
+``Exception``, and composes the message in ``__str__``, so pickling
+rebuilds it from those values."""
 
 
 class PartitionError(ValueError):
@@ -13,16 +17,22 @@ class NonFinite(PartitionError):
     """Raised when an input array contains NaN or an infinity."""
 
     def __init__(self, position: int):
+        super().__init__(position)
         self.position = position
-        super().__init__(f"non-finite value at position {position}")
+
+    def __str__(self):
+        return f"non-finite value at position {self.position}"
 
 
 class NotStrictlyIncreasing(PartitionError):
     """Raised when values[i-1] >= values[i] for some i."""
 
     def __init__(self, position: int):
+        super().__init__(position)
         self.position = position
-        super().__init__(f"values[{position - 1}] >= values[{position}]")
+
+    def __str__(self):
+        return f"values[{self.position - 1}] >= values[{self.position}]"
 
 
 class OutOfDomain(ValueError):
@@ -48,9 +58,12 @@ class NotDistinguishable(InfeasibleError):
     """
 
     def __init__(self, position: int):
+        super().__init__(position)
         self.position = position
-        super().__init__(
-            f"rounded offsets collide at position {position}; "
+
+    def __str__(self):
+        return (
+            f"rounded offsets collide at position {self.position}; "
             "bucket function cannot separate the knots"
         )
 
@@ -61,11 +74,11 @@ class Overflow(InfeasibleError):
     2**22, at most 2**32.  Raised before anything R-sized exists."""
 
     def __init__(self, buckets, limit: int, n: int):
+        super().__init__(buckets, limit, n)
         self.buckets, self.limit, self.n = buckets, limit, n
-        super().__init__(f"{buckets:.0f} buckets over the limit of {limit} for N = {n}")
 
-    def __reduce__(self):  # pickle rebuilds the error from its counts
-        return type(self), (self.buckets, self.limit, self.n)
+    def __str__(self):
+        return f"{self.buckets:.0f} buckets over the limit of {self.limit} for N = {self.n}"
 
 
 class IndexFileError(Exception):

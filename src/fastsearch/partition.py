@@ -88,9 +88,6 @@ class SortedPartition:
     def xn(self):
         return self.values[-1]
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def validate_partition(raw, precision: str | None = None) -> SortedPartition:
     """Wrap ``raw`` as a SortedPartition, enforcing the type invariants.

@@ -60,7 +60,7 @@ class TestReport:
         ]
 
     def test_csv_header_and_order(self):
-        text = emit_report(self.rows(), "csv")
+        text = emit_report(self.rows(), "csv", kind="throughput")
         lines = text.strip().split("\n")
         assert lines[0] == (
             "algorithm,precision,lane_width,size,throughput_msps,queries,repetitions"
@@ -71,32 +71,33 @@ class TestReport:
 
     def test_markdown_escapes_pipes(self):
         row = ThroughputRow("weird|name", "single", 1, 15, 1.0, 10, 1)
-        text = emit_report([row], "md")
+        text = emit_report([row], "md", kind="throughput")
         assert r"weird\|name" in text
         assert text.startswith("| algorithm |")
 
     def test_empty_rows_emit_header_only(self):
-        assert emit_report([], "csv").strip().count("\n") == 0
+        assert emit_report([], "csv", kind="throughput").strip().count("\n") == 0
         md = emit_report([], "md", kind="setup")
         assert md.strip().split("\n")[0].startswith("| size |")
 
     def test_setup_rows(self):
         """h_updates_* cells carry 4 digits, setup_ns_per_elem_* cells 2, in
-        both formats, and the kind follows the first row when omitted."""
+        both formats."""
         row = SetupStatsRow(255, 100, 0.01, 0.0, 1.0, 0.0995, 150.0, 120.0, 900.0, 40.0)
         cells = ["255", "100", "0.0100", "0.0000", "1.0000", "0.0995",
                  "150.00", "120.00", "900.00", "40.00"]
-        for kind in ("setup", None):
-            text = emit_report([row], "csv", kind=kind)
-            assert text.split("\n")[1] == ",".join(cells)
-            text = emit_report([row], "md", kind=kind)
-            assert text.split("\n")[2] == "| " + " | ".join(cells) + " |"
+        text = emit_report([row], "csv", kind="setup")
+        assert text.split("\n")[1] == ",".join(cells)
+        text = emit_report([row], "md", kind="setup")
+        assert text.split("\n")[2] == "| " + " | ".join(cells) + " |"
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
-            emit_report([], "html")
+            emit_report([], "html", kind="throughput")
         with pytest.raises(ValueError, match="unknown report kind"):
             emit_report(self.rows(), "csv", kind="latency")
+        with pytest.raises(TypeError):  # the kind is never guessed from the rows
+            emit_report(self.rows(), "csv")
 
     def test_readme_columns_are_row_fields(self):
         """README's "Report columns" lines name the row types' fields, in
@@ -278,6 +279,40 @@ class TestPersistence:
         path.write_bytes(bytes(raw))
         with pytest.raises(IndexFileError, match="1000000, past N = 255"):
             load_index(path)
+
+    @pytest.mark.parametrize(
+        "precision,field,value",
+        [(prec, "H", v) for prec in ("single", "double")
+         for v in ("negated", 0.0, float("nan"), float("inf"))]
+        + [("single", "H", 1e300), ("single", "H", "inexact")]
+        + [(prec, "X0", v) for prec in ("single", "double")
+           for v in (float("nan"), float("-inf"))]
+        + [("single", "X0", "inexact")],
+    )
+    def test_bad_header_scalars_rejected(self, tmp_path, precision, field, value):
+        """The CRC covers only K, so load_index checks the header's H (finite,
+        positive) and X0 (finite), each exact in the file's precision,
+        before it allocates the payload.  A negated H used to load, and
+        its negative buckets wrapped around K."""
+        p, idx = self.make_index(precision, size=1 << 14)
+        path = tmp_path / "h.idx"
+        save_index(idx, path)
+        raw = bytearray(path.read_bytes())
+        at = 32 if field == "H" else 40
+        if value == "negated":
+            value = -float(idx.h)
+        elif value == "inexact":  # between two float32 values
+            value = float(np.nextafter(struct.unpack_from("<d", raw, at)[0], np.inf))
+        struct.pack_into("<d", raw, at, value)
+        path.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            with pytest.raises(IndexFileError, match=f": {field} = "):
+                load_index(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < idx.k.nbytes // 4, (peak, idx.k.nbytes)
 
     def test_version_mismatch(self, tmp_path):
         p, idx = self.make_index()
@@ -526,6 +561,18 @@ class TestIndexCli:
         capsys.readouterr()
         code = index_main(["load", "--path", str(out), "--partition", str(knots)])
         assert code == 3
+        assert "bad index file" in capsys.readouterr().err
+
+    def test_negated_h_is_bad_index(self, tmp_path, capsys):
+        """A header whose H was negated under a valid CRC exits 3."""
+        knots = self.write_partition(tmp_path, [0.0, 0.5, 0.7, 1.1])
+        out = tmp_path / "t.idx"
+        assert index_main(["save", "--path", str(out), "--partition", str(knots)]) == 0
+        raw = bytearray(out.read_bytes())
+        struct.pack_into("<d", raw, 32, -struct.unpack_from("<d", raw, 32)[0])
+        out.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert index_main(["load", "--path", str(out)]) == 3
         assert "bad index file" in capsys.readouterr().err
 
     def test_one_bucket_raised_is_rejected(self, tmp_path, capsys):

@@ -1,11 +1,14 @@
 import pickle
+import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
 from fastsearch import direct
 from fastsearch.batch import prepare
+from fastsearch.bench.persist import load_index, save_index
 from fastsearch.direct import (
     build,
     build_index,
@@ -43,7 +46,6 @@ class TestComputeHR:
         assert h == np.nextafter(one(5.0), one(np.inf))
         assert r == 5
         assert stats.increments == 0
-        assert stats.growth_total == 0.0
         # Independent verification: the truncated separation condition
         # holds at this h for every adjacent pair, evaluated in-precision.
         floors = np.floor(h * (p.values - p.values[0]))
@@ -83,9 +85,10 @@ class TestComputeHR:
     def test_growth_path_certifies(self, precision, seed):
         """Seeds known to need one enlargement still end fully separated."""
         p = gen_uniform_gap_partition(15, 1, 5, seed=seed, precision=precision)
+        one = p.values.dtype.type
         h, r, stats = compute_h_r(p)
         assert stats.increments == 1
-        assert stats.growth_total > 0
+        assert h > one(1) / np.diff(p.values - p.values[0]).min()
         floors = np.floor(h * (p.values - p.values[0]))
         assert np.all(floors[1:] > floors[:-1])
         assert r == int(floors[-1]) < 2 ** 32
@@ -305,6 +308,31 @@ class TestSearchKernels:
         idx, _ = build(p, q=2)
         with pytest.raises(ValueError):
             with_fused(idx, p)
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_fused_from_loaded_index(self, tmp_path, precision):
+        """with_fused gives a loaded gap-1 index the records build fills."""
+        p = gen_uniform_gap_partition(5000, 1, 5, seed=14, precision=precision)
+        save_index(build(p)[0], tmp_path / "t.idx")
+        fused = with_fused(load_index(tmp_path / "t.idx"), p)
+        want, _ = build(p, fused=True)
+        assert fused.k is None and fused.fused.tobytes() == want.fused.tobytes()
+
+    def test_fused_refuses_r_past_f_xn(self, tmp_path):
+        """A file whose R is one past f(X_N), with one more K entry of N under
+        a valid CRC, loads; with_fused refuses it as build_index does."""
+        p = gen_uniform_gap_partition(255, 1, 5, seed=15)
+        idx, _ = build(p)
+        path = tmp_path / "t.idx"
+        save_index(idx, path)
+        raw = bytearray(path.read_bytes()[:48])
+        struct.pack_into("<Q", raw, 24, idx.r + 1)
+        k = np.append(idx.k, np.uint32(idx.n)).astype("<u4").tobytes()
+        path.write_bytes(bytes(raw) + k + struct.pack("<I", zlib.crc32(k)))
+        loaded = load_index(path)
+        assert loaded.r == idx.r + 1
+        with pytest.raises(ValueError, match="is not f"):
+            with_fused(loaded, p)
 
 
 class TestBracketing:

@@ -1,4 +1,7 @@
-"""The package root's exported names."""
+"""The package root's exported names, and README's quick start."""
+
+import re
+from pathlib import Path
 
 import fastsearch
 
@@ -50,3 +53,12 @@ def test_every_name_resolves():
 
 def test_perfbench_names_are_exported():
     assert PERFBENCH_NAMES <= set(fastsearch.__all__)
+
+
+def test_readme_python_blocks_run():
+    """Every python block of README.md runs, so the documented API cannot drift."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
