@@ -170,11 +170,10 @@ def _build_index_parser() -> _Parser:
 
 
 def _summarize(idx) -> str:
-    k_bytes = idx.table.nbytes
     return (
         f"precision={idx.precision} gap={idx.q} "
         f"n={idx.n} r={idx.r} h={float(idx.h)!r} x0={float(idx.x0)!r} "
-        f"table_bytes={k_bytes}"
+        f"table_bytes={idx.k.nbytes}"
     )
 
 

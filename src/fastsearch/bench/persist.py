@@ -21,7 +21,8 @@ offset    size   field
 
 Scale factor and origin travel as raw bit patterns (single-precision
 values widen exactly to binary64), so a round trip reproduces the index
-bit for bit and searches behave identically.
+bit for bit and searches behave identically.  Only plain indexes are
+written: a fused index holds the same K inside its cache records.
 
 The CRC covers neither the header nor K's meaning.  So before reading K,
 loading rejects an H that is not finite and positive, an X0 that is not
@@ -55,14 +56,14 @@ VERSION = 1
 #: H and X0 are packed as binary64, which writes their exact bit patterns.
 _HEADER = struct.Struct("<8sHBBB3sQQdd")
 _PRECISIONS = ("single", "double")  # indexed by the precision byte
-#: K entries per write (4 MiB).  A fused index's K, the strided ``idx``
-#: field of its records, is copied one such chunk at a time.
-_WRITE_CHUNK = 1 << 20
 
 
 def save_index(idx: DirectIndex, path) -> int:
     """Write the index to ``path``; returns the byte count written.  A gap
-    past the header's u8 raises ValueError before the file is opened."""
+    past the header's u8, or a fused index (save its plain twin, from
+    ``build(p)``), raises ValueError before the file is opened."""
+    if idx.k is None:
+        raise ValueError("a fused index is not saved; save its plain twin, build(p)")
     if not 1 <= idx.q <= 255:
         raise ValueError(f"gap {idx.q} does not fit the index header (1 to 255)")
     header = _HEADER.pack(
@@ -77,17 +78,12 @@ def save_index(idx: DirectIndex, path) -> int:
         float(idx.h),
         float(idx.x0),
     )
-    k = idx.table
-    crc = 0
+    k = np.ascontiguousarray(idx.k, dtype="<u4")  # K's own buffer, on little-endian hosts
     with open(path, "wb") as f:
         f.write(header)
-        # A contiguous K goes out straight from its own buffer.
-        for a in range(0, len(k), _WRITE_CHUNK):
-            part = np.ascontiguousarray(k[a : a + _WRITE_CHUNK], dtype="<u4")
-            crc = zlib.crc32(part, crc)
-            f.write(part)
-        f.write(struct.pack("<I", crc))
-    return len(header) + 4 * len(k) + 4
+        f.write(k)
+        f.write(struct.pack("<I", zlib.crc32(k)))
+    return len(header) + k.nbytes + 4
 
 
 def load_index(path) -> DirectIndex:

@@ -29,8 +29,9 @@ are rejected before any table is allocated.
 Certification and the table fill walk the knots in fixed windows and
 chunks with scratch buffers allocated once per pass, so set-up allocates
 the tables it keeps plus a few chunk-sized buffers: no N- or R-sized
-temporary.  K is allocated once, at its final size; a fused index keeps
-only its records, whose ``idx`` field is its K.
+temporary.  K is allocated once, at its final size.  A fused index keeps
+only its records, whose ``idx`` field is its K; the cache kernel alone
+reads them, so it is searched and saved through its plain twin.
 """
 
 from __future__ import annotations
@@ -71,13 +72,6 @@ def _max_buckets(n: int) -> int:
 _TWO52 = 2.0 ** 52
 _TWO52_BITS = int(np.float64(_TWO52).view(np.int64))
 
-_FUSED_DTYPES = {
-    # (knot index, knot value) co-located in one record: 8 bytes in single
-    # precision, 16 in double (4 zeroed padding bytes keep the value aligned).
-    "single": np.dtype([("idx", "<u4"), ("val", "<f4")]),
-    "double": np.dtype([("idx", "<u4"), ("pad", "<u4"), ("val", "<f8")]),
-}
-
 
 @dataclass(frozen=True)
 class HGrowthStats:
@@ -93,7 +87,7 @@ class DirectIndex:
     ``k`` maps every bucket 0..r to a knot index (32-bit unsigned).  A
     fused index instead co-locates (index, knot value) records in
     ``fused`` for the cache-fused kernel and holds its table only there:
-    its ``k`` is None.  ``table`` is K either way.
+    its ``k`` is None.
     """
 
     x0: np.floating
@@ -107,11 +101,6 @@ class DirectIndex:
     @property
     def precision(self) -> str:
         return precision_of(self.x0.dtype)
-
-    @property
-    def table(self) -> np.ndarray:
-        """K: ``k``, or the ``idx`` field of the fused records."""
-        return self.k if self.k is not None else self.fused["idx"]
 
 
 def closed_form_h_r(p: SortedPartition, q: int = 1) -> tuple[float, int]:
@@ -282,11 +271,13 @@ def build_index(
     K is allocated once, at its final size R + 1, and filled chunk by
     chunk from the knots (see ``_fill_table``), so the build allocates no
     N- or R-sized temporary.  With ``fused`` (gap 1 only) it allocates
-    only the (index, knot value) records and fills their ``idx`` field
-    as K; the returned index's ``k`` is then None.  Raises ValueError for
-    a gap below 1, for r other than f(X_N) and, at gap 1, for f(X_{N-1})
-    not below r, and Overflow when R + 1 exceeds ``_max_buckets(N)``, all
-    before allocating anything.
+    only the (index, knot value) records, aligned as a C struct (8 bytes
+    in single precision, 16 in double), and fills their ``idx`` field as
+    K; the returned index's ``k`` is then None.  h is kept in the knots'
+    precision.  Raises ValueError for an h that precision cannot hold
+    exactly, for a gap below 1, for r other than f(X_N) and, at gap 1, for
+    f(X_{N-1}) not below r, and Overflow when R + 1 exceeds
+    ``_max_buckets(N)``, all before allocating anything.
     """
     n = p.n_intervals
     if q < 1:
@@ -297,6 +288,10 @@ def build_index(
         raise Overflow(r + 1, _max_buckets(n), n)
     xs = p.values
     with np.errstate(over="ignore", invalid="ignore"):
+        given, h = h, xs.dtype.type(h)
+        # numpy would compare a float32 with a Python float in float32.
+        if float(h) != given:
+            raise ValueError(f"h = {float(given)!r} is not a {p.precision} value")
         last = _floors(xs[-2:], xs[0], h, np.empty(2, xs.dtype)).tolist()
     if last[1] != r:
         raise ValueError(f"R = {r} is not f(X_N) = {last[1]:.0f} for this h")
@@ -304,18 +299,16 @@ def build_index(
         raise ValueError(f"f(X_{n - 1}) = {last[0]:.0f} is not below R = {r}, as gap 1 needs")
     if fused and q != 1:
         raise ValueError("fused records pair with the gap-1 kernel")
-    if fused:
-        records = np.zeros(r + 1, dtype=_FUSED_DTYPES[p.precision])
-        k = records["idx"]
-    else:
-        records, k = None, np.zeros(r + 1, dtype=K_DTYPE)
+    record = np.dtype([("idx", K_DTYPE), ("val", xs.dtype)], align=True)
+    table = np.zeros(r + 1, dtype=record if fused else K_DTYPE)
+    k = table["idx"] if fused else table
     _fill_table(k, xs, h, q)
     assert k[-1] == n
     if fused:
-        _fill_values(records, xs)
-    (records if fused else k).setflags(write=False)
+        _fill_values(table, xs)
+    table.setflags(write=False)
     return DirectIndex(
-        x0=xs[0], h=h, r=r, q=q, k=None if fused else k, n=n, fused=records
+        x0=xs[0], h=h, r=r, q=q, n=n, k=None if fused else table, fused=table if fused else None
     )
 
 
@@ -330,7 +323,10 @@ def build(p: SortedPartition, q: int = 1, fused: bool = False):
 
 def with_fused(idx: DirectIndex, p: SortedPartition) -> DirectIndex:
     """The fused form of a gap-1 index: the records ``build_index`` fills for
-    its (h, r), with ``k`` None; raises ValueError as ``build_index`` does."""
+    its (h, r), with ``k`` None.  Raises ValueError when h does not separate
+    the knots at the index's gap, and where ``build_index`` does."""
+    if not separates(p.values, idx.h, idx.q):
+        raise ValueError(f"h does not separate the knots at gap {idx.q}")
     return build_index(p, idx.h, idx.r, q=idx.q, fused=True)
 
 
@@ -340,10 +336,12 @@ def direct_search(idx: DirectIndex, p: SortedPartition, z) -> int:
     The bucket f(z) is evaluated in the index's precision.  The candidate
     t = K[f(z)] is corrected by comparing z against X_t .. X_{t-q+1}; a read
     below X_0 is clamped to X_0, as the gap kernels clamp it (z < X_0
-    never holds, so a clamped read never changes the result).  K is read
-    from the fused records when the index keeps only those.
+    never holds, so a clamped read never changes the result).  A fused
+    index raises ValueError: its records hold the K of its plain twin.
     """
+    if idx.k is None:
+        raise ValueError("a fused index is searched through its plain twin, build(p)")
     check_domain(p, z)
     xs = p.values
-    t = int(idx.table[int(idx.h * (idx.h.dtype.type(z) - idx.x0))])
+    t = int(idx.k[int(idx.h * (idx.h.dtype.type(z) - idx.x0))])
     return t - sum(1 for m in range(idx.q) if z < xs[max(t - m, 0)])

@@ -13,14 +13,13 @@ import numpy as np
 import pytest
 
 from fastsearch import batch
-from fastsearch.bench.cli import bench_main, index_main
+from fastsearch.bench.cli import bench_main, index_main, read_partition_file
 from fastsearch.bench.harness import (
     SetupStatsRow,
     ThroughputRow,
     run_setup_stats,
     run_throughput,
 )
-from fastsearch.bench import persist
 from fastsearch.bench.persist import load_index, save_index
 from fastsearch.bench.report import emit_report
 from fastsearch.direct import build, build_index, compute_h_r, direct_search, separates
@@ -171,19 +170,19 @@ class TestPersistence:
         ]
 
     @pytest.mark.parametrize("precision", ["single", "double"])
-    def test_fused_index_saves_plain_file(self, tmp_path, precision, monkeypatch):
-        """A fused index keeps K only in its records' strided idx field;
-        saving it, in several chunks, writes the very file the plain gap-1
-        index of the same partition writes."""
-        monkeypatch.setattr(persist, "_WRITE_CHUNK", 1000)
+    def test_fused_index_refused(self, tmp_path, precision):
+        """A fused index keeps K only in its records; saving it raises
+        ValueError naming build(p) before any file exists, and its plain
+        twin writes the file, whose K is the records' idx field."""
         p = gen_uniform_gap_partition(3000, 1, 5, seed=33, precision=precision)
         plain, _ = build(p)
         fused, _ = build(p, fused=True)
-        assert fused.k is None and plain.r + 1 > 3 * persist._WRITE_CHUNK
         a, b = tmp_path / "plain.idx", tmp_path / "fused.idx"
-        assert save_index(plain, a) == save_index(fused, b) == a.stat().st_size
-        assert a.read_bytes() == b.read_bytes()
-        assert np.array_equal(load_index(b).k, plain.k)
+        with pytest.raises(ValueError, match=r"build\(p\)"):
+            save_index(fused, b)
+        assert not b.exists()
+        assert save_index(plain, a) == a.stat().st_size
+        assert np.array_equal(load_index(a).k, fused.fused["idx"])
 
     def test_round_trip_copies_no_payload(self, tmp_path):
         """save_index writes K from its own buffer and load_index reads the
@@ -467,6 +466,39 @@ class TestBenchCli:
         assert "skipped direct" in captured.err
         assert captured.out.startswith("algorithm,")  # header-only report
 
+    @pytest.mark.parametrize("option", [["--queries", "0"], ["--lanes", "0"]])
+    def test_empty_request_is_usage_error(self, capsys, option):
+        """No queries, or a lane width of 0, exits 1 naming the cause."""
+        base = ["throughput", "--sizes", "15", "--algos", "classic",
+                "--queries", "10", "--reps", "1", "--min-time", "0.001"]
+        assert bench_main(base + option) == 1
+        assert "bench: error:" in capsys.readouterr().err
+
+    def test_bad_sizes_list_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            bench_main(["throughput", "--sizes", "1,x"])
+        assert exc.value.code == 1
+        assert "not a comma-separated int list: '1,x'" in capsys.readouterr().err
+
+    def test_setup_stats_infeasible_samples(self, capsys):
+        """Samples whose table is past the limit are counted on stderr; the
+        report is header-only and the exit code 0."""
+        code = bench_main(
+            [
+                "setup-stats",
+                "--sizes", "262144",
+                "--gap-hi", "1e9",
+                "--samples", "2",
+                "--precision", "double",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "size 262144: 2 infeasible samples" in captured.err
+        assert captured.out.strip().splitlines() == [
+            ",".join(f.name for f in fields(SetupStatsRow))
+        ]
+
 
 VERIFIED = "verified: h separates the knots and K is the table built from h"
 
@@ -497,6 +529,33 @@ class TestIndexCli:
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert index_main(["load", "--path", str(tmp_path / "absent.idx")]) == 3
+
+    def test_partition_file_skips_blank_and_comment_lines(self, tmp_path, capsys):
+        path = tmp_path / "knots.csv"
+        path.write_text("# knots\n0.0\n\n  # a comment\n0.5\n   \n0.7\n1.1\n")
+        p = read_partition_file(str(path), "double")
+        assert p.values.tolist() == [0.0, 0.5, 0.7, 1.1]
+        out = tmp_path / "t.idx"
+        assert index_main(["save", "--path", str(out), "--partition", str(path)]) == 0
+        assert index_main(["load", "--path", str(out), "--partition", str(path)]) == 0
+        assert VERIFIED in capsys.readouterr().out
+
+    def test_r_past_f_xn_is_bad_index(self, tmp_path, capsys):
+        """A file with one more K entry of N, R raised by 1 and the CRC
+        recomputed loads, but its R is not f(X_N) for its H: exit 3."""
+        knots = self.write_partition(tmp_path, [0.0, 0.5, 0.7, 1.1])
+        out = tmp_path / "t.idx"
+        assert index_main(["save", "--path", str(out), "--partition", str(knots)]) == 0
+        raw = bytearray(out.read_bytes()[:-4])
+        r = struct.unpack_from("<Q", raw, 24)[0]
+        struct.pack_into("<Q", raw, 24, r + 1)
+        raw += struct.pack("<I", 3)  # K_{R+1} = N
+        raw += struct.pack("<I", zlib.crc32(bytes(raw[48:])))
+        out.write_bytes(bytes(raw))
+        assert load_index(out).r == r + 1
+        capsys.readouterr()
+        assert index_main(["load", "--path", str(out), "--partition", str(knots)]) == 3
+        assert f"bad index file: R = {r + 1} is not f(X_N) = {r}" in capsys.readouterr().err
 
     def test_invalid_partition_is_usage_error(self, tmp_path, capsys):
         knots = self.write_partition(tmp_path, [0.0, 1.0, 1.0, 2.0])

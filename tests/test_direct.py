@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import struct
 import tracemalloc
@@ -222,7 +223,37 @@ class TestBuildIndex:
         finally:
             tracemalloc.stop()
         assert peak < r, (peak, r)
-        assert build_index(p, h, r, q=2).table[-1] == p.n_intervals
+        assert build_index(p, h, r, q=2).k[-1] == p.n_intervals
+
+
+    def test_exact_python_float_h_kept_in_knot_precision(self):
+        """A Python-float h that the knots' precision holds exactly builds
+        the index that h's own type builds, and the reference reads it."""
+        for precision in ("single", "double"):
+            p = gen_uniform_gap_partition(4097, 1, 5, seed=3, precision=precision)
+            h, r, _ = compute_h_r(p)
+            idx = build_index(p, float(h), r)
+            assert idx.h.dtype == p.values.dtype and idx.h == h
+            assert idx.k.tobytes() == build_index(p, h, r).k.tobytes()
+            for z in boundary_probes(p)[:50]:
+                assert direct_search(idx, p, z) == linear_scan_oracle(p, z)
+
+    @pytest.mark.parametrize("kind", [np.float64, float])
+    def test_inexact_h_rejected(self, kind):
+        """A float64 or Python-float h that float32 cannot hold is refused,
+        as load_index refuses it in a file, before anything is allocated."""
+        p = gen_uniform_gap_partition(4097, 1, 5, seed=3, precision="single")
+        h, r, _ = compute_h_r(p)
+        wide = kind(np.float64(h) * (1 + 2.0 ** -30))
+        assert float(np.float32(wide)) != wide
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="is not a single value"):
+                build_index(p, wide, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < r, (peak, r)
 
 
 class TestSearchKernels:
@@ -286,22 +317,31 @@ class TestSearchKernels:
         assert plain == fused.tolist()
 
     def test_fused_record_layout(self):
-        ps = gen_uniform_gap_partition(16, 1, 5, seed=1, precision="single")
-        pd = gen_uniform_gap_partition(16, 1, 5, seed=1, precision="double")
-        fs = build(ps, fused=True)[0].fused
-        fd = build(pd, fused=True)[0].fused
-        assert fs.dtype.itemsize == 8
-        assert fd.dtype.itemsize == 16
-        assert np.all(fd["pad"] == 0)
+        """One aligned record type: (idx, val) at offsets 0 and the value's
+        width, 8 bytes in single precision and 16 in double, and every
+        byte outside the two fields zero."""
+        for precision, size in (("single", 4), ("double", 8)):
+            p = gen_uniform_gap_partition(16, 1, 5, seed=1, precision=precision)
+            fused = build(p, fused=True)[0].fused
+            assert fused.dtype.names == ("idx", "val")
+            assert fused.dtype.itemsize == 2 * size
+            assert fused.dtype.fields["val"][1] == size
+            raw = fused.view(np.uint8).reshape(len(fused), 2 * size)
+            assert not raw[:, 4:size].any()
 
     @pytest.mark.parametrize("precision", ["single", "double"])
-    def test_reference_reads_fused_only_index(self, precision):
-        """A fused index holds K only in its records; the reference reads it there."""
+    def test_reference_refuses_fused_index(self, precision):
+        """A fused index holds K only in its records; the reference refuses
+        it by name and answers through the plain twin, which holds that K."""
         p = gen_uniform_gap_partition(255, 1, 5, seed=12, precision=precision)
         idx, _ = build(p, fused=True)
+        plain, _ = build(p)
         assert idx.k is None
+        assert np.array_equal(idx.fused["idx"], plain.k)
+        with pytest.raises(ValueError, match=r"build\(p\)"):
+            direct_search(idx, p, p.values[0])
         for z in boundary_probes(p):
-            assert direct_search(idx, p, z) == linear_scan_oracle(p, z)
+            assert direct_search(plain, p, z) == linear_scan_oracle(p, z)
 
     def test_fused_requires_gap1(self):
         p = worked_partition()
@@ -317,6 +357,22 @@ class TestSearchKernels:
         fused = with_fused(load_index(tmp_path / "t.idx"), p)
         want, _ = build(p, fused=True)
         assert fused.k is None and fused.fused.tobytes() == want.fused.tobytes()
+
+    def test_fused_refuses_non_separating_h(self):
+        """An index whose H (0.7 times the certified one, R = f(X_N) for it)
+        puts two knots in one bucket gets no records: their searches would
+        answer some queries wrong.  A certified index gets the same records
+        as the fused build."""
+        p = gen_uniform_gap_partition(4097, 1, 5, seed=3)
+        idx, _ = build(p)
+        h = idx.h * 0.7
+        r = int(np.floor(h * (p.values[-1] - p.values[0])))
+        bad = dataclasses.replace(idx, h=h, r=r)
+        assert not separates(p.values, h, 1)
+        with pytest.raises(ValueError, match="h does not separate the knots at gap 1"):
+            with_fused(bad, p)
+        want, _ = build(p, fused=True)
+        assert with_fused(idx, p).fused.tobytes() == want.fused.tobytes()
 
     def test_fused_refuses_r_past_f_xn(self, tmp_path):
         """A file whose R is one past f(X_N), with one more K entry of N under
@@ -516,7 +572,8 @@ def repeat_table(p, h, r, q):
 
 
 def repeat_records(p, k):
-    """The fused records as they were built from that K."""
+    """The fused records' bytes as they were built from that K, with the
+    double-precision value after 4 zeroed padding bytes."""
     fields = {
         "single": [("idx", "<u4"), ("val", "<f4")],
         "double": [("idx", "<u4"), ("pad", "<u4"), ("val", "<f8")],
@@ -524,7 +581,7 @@ def repeat_records(p, k):
     fused = np.zeros(len(k), dtype=fields[p.precision])
     fused["idx"] = k
     fused["val"] = p.values[k]
-    return fused
+    return fused.tobytes()
 
 
 #: Seeds of 15-knot uniform-gap heads whose gap-q certification grows H at
@@ -580,9 +637,9 @@ class TestChunkedConstruction:
             records = repeat_records(p, want)
             for fused in (build_index(p, h, r, fused=True), with_fused(idx, p)):
                 assert fused.k is None
-                assert fused.fused.dtype == records.dtype
-                assert fused.fused.tobytes() == records.tobytes()
-                assert fused.table.tobytes() == want.tobytes()
+                assert fused.fused.dtype.isalignedstruct
+                assert fused.fused.tobytes() == records
+                assert fused.fused["idx"].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     @pytest.mark.parametrize("side", [0, 1])

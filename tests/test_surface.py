@@ -3,6 +3,9 @@
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import fastsearch
 
 #: The names that perfbench reads from the package root.
@@ -53,6 +56,51 @@ def test_every_name_resolves():
 
 def test_perfbench_names_are_exported():
     assert PERFBENCH_NAMES <= set(fastsearch.__all__)
+
+
+#: The array attributes whose bytes perfbench sums, once per distinct array.
+SUMMED = ("values", "k", "fused", "tree")
+
+
+@pytest.mark.parametrize("precision", ["single", "double"])
+def test_perfbench_attributes(precision):
+    """The library calls perfbench makes, on a small partition, give the
+    attributes it reads; and no two of the arrays whose bytes it sums share
+    memory, so none is counted twice."""
+    fs = fastsearch
+    p = fs.validate_partition(
+        fs.gen_uniform_gap_partition(4097, 1, 5, seed=4, precision=precision).values
+    )
+    h, r, growth = fs.compute_h_r(p, q=1)
+    assert isinstance(growth.increments, int)
+    idx = fs.build_index(p, h, r)
+    fused = fs.with_fused(idx, p)
+    assert idx.k.nbytes and fused.fused.nbytes and fused.k is None
+    plain, gap2, cache = (fs.build(p, **kw)[0] for kw in ({}, {"q": 2}, {"fused": True}))
+    assert (plain.q, gap2.q, cache.q) == (1, 2, 1) and cache.k is None
+    assert fs.build_layout(p).tree.size > 0
+    kernels = {k: fs.prepare(k, p) for k in ("direct", "direct-gap2", "direct-cache", "eytzinger")}
+    for k, prep in kernels.items():
+        assert prep.algorithm == k and callable(prep.lanes) and callable(prep.scalar)
+    s = {k: prep.structure for k, prep in kernels.items()}
+    assert s["eytzinger"].L > 0 and s["direct-cache"].fused.itemsize > 0
+    assert s["direct-cache"].k is None
+    for k in ("direct", "direct-gap2"):
+        assert s[k].k.itemsize == 4 and s[k].q == (2 if k == "direct-gap2" else 1)
+    z = fs.gen_queries(p, 1000, seed=5)
+    assert np.array_equal(fs.run_batch(kernels["direct"], z, d=8, threads=1),
+                          fs.linear_scan_oracle_batch(p, z))
+    arrays = {}
+    for obj in [p, *s.values()]:
+        for attr in SUMMED:
+            arr = getattr(obj, attr, None)
+            if isinstance(arr, np.ndarray):
+                arrays[id(arr)] = arr
+    assert len(arrays) == 5  # the knots, two K, the records and the tree
+    found = list(arrays.values())
+    for i, a in enumerate(found):
+        for b in found[i + 1 :]:
+            assert not np.shares_memory(a, b)
 
 
 def test_readme_python_blocks_run():
