@@ -22,14 +22,16 @@ whatever d says.
 
 Each kernel name maps to one builder in a single table.  A builder makes
 the search structure, lists only the tables its own kernel reads, and
-returns the structure with the kernel's scalar and lane forms.  The five
-fixed-iteration comparison kernels share one generator of both forms:
-each is a start, a probe schedule from :mod:`fastsearch.binsearch`,
-i += k wherever X[i + k] <= z, and a read rule that keeps its scalar's
-probes in range (bitset1 guards, bitset2 pads, bitset3 clamps).  The
-Eytzinger descent is a start over its stored tree levels followed by
-bitset3's schedule over the knots.  The direct family's scalars share one
-compiler that binds the bucket expression of the index's precision.
+returns the structure with the kernel's scalar and lane forms.  All eight
+lane kernels share one generator of both forms: each is a start, a probe
+schedule, i += k wherever X[i + k] <= z, and a read rule that keeps its
+scalar's probes in range (bitset1 guards, bitset2 pads, bitset3 clamps).
+The comparison kernels take their schedules from
+:mod:`fastsearch.binsearch`, and the Eytzinger descent is a start over
+its stored tree levels followed by bitset3's schedule over the knots.
+The direct kernels start from their bucket's table entry, computed in
+the index's precision: at gap q the start i = t - q is followed by q unit
+steps, and direct-cache's fused record gives the answer with no steps.
 
 Queries are converted to the partition's dtype once, at the batch
 boundary, and the domain check runs on the converted values: a batch's
@@ -64,12 +66,12 @@ def _compile_kernel(lines, **bound) -> Callable:
     """exec an unrolled scalar kernel with its tables bound as default args.
 
     The fixed-iteration kernels run a probe count that is a pure function
-    of N, so their loops can be fully unrolled with every constant inlined;
-    that is the same property that makes them lane-parallel.  The unrolled
-    form reads the same table entries in the same order as its reference
-    loop, which the test suite asserts read for read for the
-    probe-schedule kernels, and runs roughly twice as fast per query
-    under CPython.
+    of N (or of the gap q), so their loops can be fully unrolled with every
+    constant inlined; that is the same property that makes them
+    lane-parallel.  The unrolled form reads the same table entries in the
+    same order as its reference loop, which the test suite asserts read
+    for read for every lane kernel, and runs roughly twice as fast per
+    query under CPython.
 
     The kernel is popped from its namespace, so the function and the
     tables it binds form no reference cycle and are freed on last use.
@@ -133,13 +135,6 @@ def _add_where(i, hit, k, tmp) -> None:
     np.add(i, tmp, out=i)
 
 
-def _bucket(z, f, j, h, x0) -> None:
-    """j[:] = int(h * (z - x0)), computed in z's precision in ``f``."""
-    np.subtract(z, x0, out=f)
-    np.multiply(f, h, out=f)
-    j[:] = f
-
-
 @dataclass(frozen=True)
 class PreparedKernel:
     """A search structure plus its scalar and lock-step entry points.
@@ -172,37 +167,53 @@ def _start_at_zero(z, w, *scratch) -> None:
 
 
 def _probe_kernel(
-    table, steps, test, structure, head=("i = 0",), start=_start_at_zero, **tables
+    table, steps, test, structure, head=("i = 0",), start=_start_at_zero,
+    entry=direct.K_DTYPE, **bound
 ):
-    """A fixed-schedule kernel: i += k wherever the read rule accepts
-    r = i + k, for every k in ``steps``.
+    """A fixed-schedule kernel: a start, then i += k wherever the read
+    rule accepts r = i + k, for every k in ``steps``.
 
-    The comparison kernels differ only in their start, their schedule and
-    how they keep a probe in range, which ``test`` spells out for the
-    scalar over ``xs`` and r.  The scalar sets i in its ``head`` lines and
-    reads ``tables`` (default: ``xs``, the table as a list).  The lanes
-    track w = i + 1, set by ``start(z, w, *scratch)``, and read
+    The lane kernels differ only in their start, their schedule and how
+    they keep a probe in range, which ``test`` spells out for the scalar
+    over ``xs`` and r.  The scalar sets i in its ``head`` lines and reads
+    what ``bound`` binds (default: ``xs``, the table as a list).  The
+    lanes track w = i + 1, set by ``start(z, w, *scratch)``, whose
+    block-sized scratch is one int64, one ``table``, one bool and one
+    ``entry`` buffer (a gathered K entry or fused record).  A step reads
     X[min(w + k - 1, len - 1)]: past N that is X_N, which exceeds every
     in-domain query, so the clip accepts no probe that a guard, a pad or a
-    clamp would refuse.  Tracking w keeps every index at or above 0, where
-    the clip would turn i = -1 into a read of X_k.
+    clamp would refuse.  Below index 0 the clip reads X_0, which is right
+    for a unit step only: there it is X[max(i + 1, 0)], and every
+    in-domain z meets X_0.  A direct start may leave w = t - q + 1 below
+    0 because only unit steps follow it; every other start keeps w at or
+    above 0, where the clip would turn i = -1 into a read of X_k.  A unit
+    step adds its hit to w directly.  Every schedule ends in a unit step,
+    which writes the answer i = w - (z < X[w]) and so folds the final
+    w - 1 into its compare; a start that no step follows (direct-cache)
+    writes the answer itself.
     """
     lines = list(head)
     for k in steps:
         lines += [f"r = i + {k}", f"if {test}: i = r"]
     lines.append("return i")
-    reads = [(table[k - 1 :], k) for k in steps]
+    reads = [(table[k - 1 :], k) for k in steps[:-1]]
 
-    def step(z, w, r, v, hit):
-        start(z, w, r, v, hit)
+    def step(z, w, r, v, hit, e):
+        start(z, w, r, v, hit, e)
         for t, k in reads:
             _take(t, w, v)  # X[min(w + k - 1, len - 1)]
             np.greater_equal(z, v, out=hit)
-            _add_where(w, hit, k, r)
-        np.subtract(w, 1, out=w)
+            if k == 1:
+                np.add(w, hit, out=w)
+            else:
+                _add_where(w, hit, k, r)
+        if steps:  # the last, unit step: i = w - 1 + (z >= X[w])
+            _take(table, w, v)
+            np.less(z, v, out=hit)
+            np.subtract(w, hit, out=w)
 
-    lanes = _blocked(step, np.int64, table.dtype, bool)
-    scalar = _compile_kernel(lines, **(tables or {"xs": table.tolist()}))
+    lanes = _blocked(step, np.int64, table.dtype, bool, entry)
+    scalar = _compile_kernel(lines, **(bound or {"xs": table.tolist()}))
     return structure, scalar, lanes
 
 
@@ -248,7 +259,7 @@ def _build_eytzinger(p: SortedPartition):
     # leftmost leaf under the node, which is i + 1.
     levels = [lay.tree[(1 << level) - 1 :] for level in range(top)]
 
-    def start(z, w, r, v, hit):
+    def start(z, w, r, v, hit, *_):
         w[:] = 0
         for t in levels:
             _take(t, w, v)
@@ -263,78 +274,61 @@ def _build_eytzinger(p: SortedPartition):
     return _probe_kernel(p.values, steps, test, lay, head, start, **views)
 
 
-def _direct_scalar(idx: direct.DirectIndex, lines, **tables) -> Callable:
-    """Compile a direct scalar from ``lines``, in which ``{bucket}``
-    stands for the bucket of z, over memoryviews of ``tables``.
+def _build_direct(p: SortedPartition, q: int = 1, fused: bool = False):
+    """The paper's O(1) search: the bucket f(z) = int(h * (z - x0)), its
+    table entry, then a fixed correction.
+
+    At gap q the candidate t = K[f(z)] brackets the answer in [t - q, t]:
+    the search starts at i = t - q and takes q unit steps, i += 1 wherever
+    z >= X[max(i + 1, 0)].  Once a step misses, later steps reread the same
+    knot and miss too.  A read below index 0 is X_0, which every in-domain
+    z meets: the lanes' clip reads X_0 there, and the scalar clamps r
+    itself, since xs[-1] would be X_N.  Only gap 2 and up can read there.
+    The fused gap-1 records (direct-cache) hold K[f(z)] and its knot in one
+    read, so the answer idx - (z < val) takes no steps.
 
     The bucket is computed in the index's own precision: on Python floats
     for double (binary64, identical to the lanes bit for bit), and on
     genuine float32 numpy scalars for single.
-
-    The memoryviews read the index's own arrays, and their items come
-    out as Python ints and floats.  Unlike ``tolist()`` copies, which box
-    every entry in its own object, they add no memory and keep a random
-    lookup to one compact table row: at N = 2**16 the gap-q kernel runs
-    about 1.5x as fast, at 2**20 about 1.9x.  The eytzinger scalar reads
-    its stored tree levels and the knots the same way, which saves a
-    boxed copy of both at set-up.  The probe-schedule scalars keep
-    ``tolist()`` copies of their knots, because a memoryview slows the
-    small-N scalar speeds that the acceptance suite compares (ROADMAP
-    item 6).
     """
+    idx, _ = direct.build(p, q=q, fused=fused)
+    table = idx.fused if fused else idx.k
+
+    def start(z, w, j, f, hit, e):
+        np.subtract(z, idx.x0, out=f)
+        np.multiply(f, idx.h, out=f)
+        j[:] = f  # the bucket, truncated as int() truncates
+        _take(table, j, e)
+        if fused:
+            np.less(z, e["val"], out=hit)
+            np.subtract(e["idx"], hit, out=w)  # the answer: no step follows
+        else:
+            w[:] = e
+            if q > 1:
+                np.subtract(w, q - 1, out=w)  # w = t - q + 1
+
     if idx.precision == "single":
         bucket, h, x0 = "int(h * (f32(z) - x0))", idx.h, idx.x0
     else:
         bucket, h, x0 = "int(h * (z - x0))", float(idx.h), float(idx.x0)
-    views = {name: memoryview(t) for name, t in tables.items()}
-    lines = [ln.format(bucket=bucket) for ln in lines]
-    return _compile_kernel(lines, **views, h=h, x0=x0, f32=np.float32)
-
-
-def _build_direct(p: SortedPartition, q: int):
-    """Gap-q direct kernel: the candidate t = K[f(z)] is corrected by q
-    comparisons against X_t .. X_{t-q+1}, read from the knots in place.
-    The gathers clip an index below 0 to X_0, which no in-domain query is
-    below."""
-    idx, _ = direct.build(p, q=q)
-
-    def step(z, i, f, j, t, v, hit, _h=idx.h, _x0=idx.x0, _k=idx.k, _x=p.values, _q=q):
-        _bucket(z, f, j, _h, _x0)
-        _take(_k, j, t)
-        j[:] = t
-        _take(_x, j, v)
-        np.less(z, v, out=hit)
-        np.subtract(j, hit, out=i)
-        for _ in range(1, _q):
-            np.subtract(j, 1, out=j)
-            _take(_x, j, v)  # X[max(j, 0)]
-            np.less(z, v, out=hit)
-            np.subtract(i, hit, out=i)
-
-    # The scalar compares X_t .. X_{t-q+1}, each index below 0 clamped to
-    # X_0; z < X_0 never holds, so a read clamped to X_0 never counts.
-    hits = "".join(f" - (z < xs[t - {m} if t > {m} else 0])" for m in range(1, q))
-    lines = ["t = k[{bucket}]", "return t - (z < xs[t])" + hits]
-    dt = p.values.dtype
-    lanes = _blocked(step, dt, np.int64, idx.k.dtype, dt, bool)
-    return idx, _direct_scalar(idx, lines, k=idx.k, xs=p.values), lanes
-
-
-def _build_direct_cache(p: SortedPartition):
-    """Gap-1 kernel over fused records: index and knot value in one read,
-    by the lanes and by the scalar."""
-    idx, _ = direct.build(p, fused=True)
-
-    def step(z, i, f, j, rec, hit, _h=idx.h, _x0=idx.x0, _f=idx.fused):
-        _bucket(z, f, j, _h, _x0)
-        _take(_f, j, rec)
-        np.less(z, rec["val"], out=hit)
-        np.subtract(rec["idx"], hit, out=i)
-
-    lines = ["j = {bucket}", "return k[j] - (z < v[j])"]
-    scalar = _direct_scalar(idx, lines, k=idx.fused["idx"], v=idx.fused["val"])
-    lanes = _blocked(step, p.values.dtype, np.int64, idx.fused.dtype, bool)
-    return idx, scalar, lanes
+    # The scalar reads the index's arrays through memoryviews, whose items
+    # come out as Python ints and floats.  Unlike tolist() copies, which
+    # box every entry in its own object, they add no memory and keep a
+    # random lookup to one compact table row: at N = 2**16 the gap-q
+    # kernel runs about 1.5x as fast, at 2**20 about 1.9x.  The eytzinger
+    # scalar reads its stored tree levels and the knots the same way.  The
+    # comparison kernels' scalars keep tolist() copies of their knots,
+    # because a memoryview slows the small-N scalar speeds that the
+    # acceptance suite compares (ROADMAP item 6).
+    if fused:
+        head, steps = [f"j = {bucket}", "i = k[j] - (z < v[j])"], []
+        views = {"k": memoryview(table["idx"]), "v": memoryview(table["val"])}
+    else:
+        head, steps = [f"i = k[{bucket}] - {q}"], [1] * q
+        views = {"k": memoryview(table), "xs": memoryview(p.values)}
+    test = "z >= xs[r]" if q == 1 else "z >= xs[r if r > 0 else 0]"
+    bound = {**views, "h": h, "x0": x0, "f32": np.float32}
+    return _probe_kernel(p.values, steps, test, idx, head, start, table.dtype, **bound)
 
 
 _BUILDERS = {
@@ -346,7 +340,7 @@ _BUILDERS = {
     "eytzinger": _build_eytzinger,
     "direct": partial(_build_direct, q=1),
     "direct-gap2": partial(_build_direct, q=2),
-    "direct-cache": _build_direct_cache,
+    "direct-cache": partial(_build_direct, fused=True),
 }
 
 ALGORITHMS = tuple(_BUILDERS)

@@ -1,14 +1,16 @@
-"""Readable reference loops for the fixed-schedule comparison kernels.
+"""Readable reference loops for the fixed-schedule kernels.
 
-Each ``*_seq`` function is a loop over a plain index-by-integer sequence,
-driven by the paper's constants: the leading probe of the bit-setting
-searches and the offset search's (F, S, J), worked out here independently
-of the library's probe schedules.  The library compiles the unrolled
-scalar and lane forms of these kernels from its schedules (see
-:mod:`fastsearch.binsearch` and :mod:`fastsearch.batch`); the tests check
-those fast forms against these loops, read for read, and check the loops
-against the linear-scan oracle.  ``classic_seq`` stays in
-:mod:`fastsearch.binsearch`, since it is the classical kernel's scalar.
+Each ``*_seq`` function is a loop over a plain index-by-integer sequence.
+The comparison loops are driven by the paper's constants: the leading
+probe of the bit-setting searches and the offset search's (F, S, J),
+worked out here independently of the library's probe schedules.  The
+direct loops take an index's bucket table, h, x0 and gap q.  The
+library compiles the unrolled scalar and lane forms of these kernels
+from its schedules and tables (see :mod:`fastsearch.binsearch` and
+:mod:`fastsearch.batch`); the tests check those fast forms against these
+loops, read for read, and check the loops against the linear-scan
+oracle.  ``classic_seq`` stays in :mod:`fastsearch.binsearch`, since it
+is the classical kernel's scalar.
 """
 
 from __future__ import annotations
@@ -99,3 +101,26 @@ def eytzinger_seq(tree, xs, depth: int, z) -> int:
         if z >= xs[min(w + half - 1, n)]:
             w += half
     return w - 1
+
+
+def direct_seq(k, xs, h, x0, q: int, z) -> int:
+    """Gap-q direct search as a start plus q unit steps.
+
+    The bucket int(h * (z - x0)) is computed in the precision of ``h`` and
+    ``x0`` (numpy scalars of the knots' dtype).  Its entry t = K[f(z)]
+    brackets the answer in [t - q, t], so the search starts at i = t - q
+    and steps i += 1 wherever z >= X[max(i + 1, 0)].  A read below index 0
+    is X_0, which every in-domain z meets.
+    """
+    i = k[int(h * (type(h)(z) - x0))] - q
+    for _ in range(q):
+        if z >= xs[max(i + 1, 0)]:
+            i += 1
+    return i
+
+
+def direct_cache_seq(k, v, h, x0, z) -> int:
+    """Gap-1 direct search over fused records: the bucket's index k[j]
+    and the knot v[j] stored beside it, with no read of the knots."""
+    j = int(h * (type(h)(z) - x0))
+    return k[j] - (z < v[j])

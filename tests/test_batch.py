@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fastsearch import batch, eytzinger
+from fastsearch import batch, direct, eytzinger
 from fastsearch.batch import ALGORITHMS, prepare, run_batch
 from fastsearch.errors import OutOfDomain
 from fastsearch.partition import (
@@ -24,6 +24,8 @@ from reference import (
     bitset1_seq,
     bitset2_seq,
     bitset3_seq,
+    direct_cache_seq,
+    direct_seq,
     eytzinger_seq,
     offset_constants,
     offset_seq,
@@ -31,7 +33,7 @@ from reference import (
 )
 
 LANE_KERNELS = [a for a in ALGORITHMS if a != "classic"]
-PROBE_KERNELS = ["bitset1", "bitset2", "bitset3", "offset", "eytzinger"]
+GAP = {"direct": 1, "direct-gap2": 2, "direct-cache": 1}
 
 
 @pytest.fixture(scope="module", params=["single", "double"])
@@ -501,13 +503,21 @@ class TestEquivalenceMatrix:
 
 
 class TestProbeScheduleReads:
-    """Each compiled probe-schedule scalar reads exactly the entries its
+    """Each compiled lane kernel's scalar reads exactly the entries its
     ``*_seq`` reference reads, in the same order, and gives its answer."""
 
     @staticmethod
-    def reference(algorithm, p):
-        """({name: table}, reference(**lists, z)) for one probe-schedule
-        kernel; the names are those its compiled scalar binds."""
+    def reference(algorithm, p, idx):
+        """({name: table}, reference(**lists, z)) for one lane kernel; the
+        names are those its compiled scalar binds.  ``idx`` is the plain
+        direct index that the direct family's kernels search."""
+        if algorithm == "direct-cache":
+            fused = direct.with_fused(idx, p).fused
+            tables = {"k": fused["idx"], "v": fused["val"]}
+            return tables, lambda k, v, z: direct_cache_seq(k, v, idx.h, idx.x0, z)
+        if algorithm in GAP:
+            tables = {"k": idx.k, "xs": p.values}
+            return tables, lambda k, xs, z: direct_seq(k, xs, idx.h, idx.x0, idx.q, z)
         n = p.n_intervals
         probe = probe_constant(n)
         f, s, j = offset_constants(n)
@@ -524,7 +534,10 @@ class TestProbeScheduleReads:
         }[algorithm]
 
     def check(self, algorithm, p):
-        tables, seq = self.reference(algorithm, p)
+        # The direct family also answers as the checked reference search
+        # over the plain index (direct-cache's plain twin is build(p)).
+        plain = direct.build(p, q=GAP[algorithm])[0] if algorithm in GAP else None
+        tables, seq = self.reference(algorithm, p, plain)
         lists = {name: table.tolist() for name, table in tables.items()}
         prep = prepare(algorithm, p)
         n = p.n_intervals
@@ -541,15 +554,19 @@ class TestProbeScheduleReads:
                 assert got[name].served == served[: len(served) - spare], (name, z)
             if spare:
                 assert want["xs"].served[-1] == answer, z
+            if plain is not None:
+                assert got["k"].reads == 1, z
+                assert answer == direct.direct_search(plain, p, z), z
 
     @pytest.mark.parametrize("size", [2, 3, 9, 15, 16, 17, 255, 256, 257, 384])
-    @pytest.mark.parametrize("algorithm", PROBE_KERNELS)
+    @pytest.mark.parametrize("algorithm", LANE_KERNELS)
     def test_scalar_reads_as_reference(self, algorithm, size):
         self.check(algorithm, gen_uniform_gap_partition(size, 1, 5, seed=size))
 
-    @pytest.mark.parametrize("algorithm", PROBE_KERNELS)
+    @pytest.mark.parametrize("algorithm", LANE_KERNELS)
     def test_single_precision_reads_as_reference(self, algorithm):
-        """float32 stores one more knot level below the Eytzinger tree."""
+        """float32 stores one more knot level below the Eytzinger tree, and
+        the direct kernels compute their bucket in float32."""
         for size in [2, 17, 33, 257, 1025]:
             p = gen_uniform_gap_partition(size, 1, 5, seed=size, precision="single")
             self.check(algorithm, p)
