@@ -15,8 +15,9 @@
 
 Partition files hold one value per line (blank lines and ``#`` comments
 ignored) and are validated on ingestion.  ``index load --partition``
-proves the index exact for the partition: its H separates the knots at
-its gap, and its K is the table the construction builds from that H.
+proves the index exact for the partition: ``build_index`` fills the table
+for the file's H, proving on the way that H separates the knots at its
+gap, and the file's K must be that table.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible-only sweep, 3 I/O error.
 """
@@ -29,7 +30,7 @@ import sys
 import numpy as np
 
 from ..batch import ALGORITHMS
-from ..direct import build, build_index, separates
+from ..direct import build, build_index
 from ..errors import IndexFileError, PartitionError
 from ..partition import validate_partition
 from . import persist
@@ -197,12 +198,11 @@ def index_main(argv=None) -> int:
                 print("index: error: partition does not match the index",
                       file=sys.stderr)
                 return EXIT_USAGE
-            # Separation first: the build refuses a gap-1 H that puts X_{N-1} in bucket R.
-            if not separates(p.values, idx.h, idx.q):
-                raise IndexFileError(f"h does not separate the knots at gap {idx.q}")
+            # build_index proves that H separates the knots as it fills the
+            # table, and refuses an R that is not f(X_N) or is past the limit.
             try:
                 differ = build_index(p, idx.h, idx.r, idx.q).k != idx.k
-            except ValueError as exc:  # R is not f(X_N), or R + 1 is past the limit
+            except ValueError as exc:
                 raise IndexFileError(str(exc)) from None
             if differ.any():
                 j = int(np.argmax(differ))

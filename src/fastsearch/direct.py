@@ -18,19 +18,24 @@ read and at most ``gap`` comparisons:
 fast scalar and lane kernels live in :mod:`fastsearch.batch`.
 
 Construction certifies the separation property directly in floating
-point: starting from the rounded reciprocal of the smallest rounded
-gap-q offset difference, the scale factor H is grown by exponentially
-doubling ulp-scale increments until every truncated product pair
-floor(H*D_{i+q}) > floor(H*D_i) holds, where D_i is the rounded offset
-X_i - X_0.  Arrays whose rounded offsets collide (NotDistinguishable) or
-whose table would hold more buckets than ``_max_buckets(N)`` (Overflow)
-are rejected before any table is allocated.
+point: every truncated product pair floor(H*D_{i+q}) > floor(H*D_i)
+holds, where D_i is the rounded offset X_i - X_0.  Starting from the
+rounded reciprocal H0 of the smallest rounded gap-q offset difference,
+:func:`compute_h_r` grows H by exponentially doubling ulp-scale
+increments until the :func:`separates` walk passes.  :func:`build_index`
+proves separation from the floors its table fill computes anyway and
+refuses an H that fails it, so :func:`build` fills the table for H0 and
+walks only when the fill refuses H0.  Arrays whose rounded offsets
+collide (NotDistinguishable) or whose table would hold more buckets than
+``_max_buckets(N)`` (Overflow) are rejected before any table is
+allocated.
 
 Certification and the table fill walk the knots in fixed windows and
 chunks with scratch buffers allocated once per pass, so set-up allocates
 the tables it keeps plus a few chunk-sized buffers: no N- or R-sized
 temporary.  K is allocated once, at its final size.  A fused index keeps
-only its records, whose ``idx`` field is its K; the cache kernel alone
+only its records, whose ``idx`` field is its K and whose ``val`` field
+the fill writes as each run of K is finished; the cache kernel alone
 reads them, so it is searched and saved through its plain twin.
 """
 
@@ -139,30 +144,18 @@ def separates(xs: np.ndarray, h, q: int = 1) -> bool:
     return True
 
 
-def compute_h_r(p: SortedPartition, q: int = 1):
-    """Certified scale factor and bucket count for a direct index.
+def _initial_h(xs: np.ndarray, q: int):
+    """The initial guess (H0, R0) and the span X_N - X_0, in the knots'
+    precision, for both ``compute_h_r`` and ``build``.
 
-    Returns ``(h, r, HGrowthStats)``.  All arithmetic runs in the
-    partition's precision, matching what the search kernel will execute.
-    Raises NotDistinguishable when two gap-q offsets round to the same
-    value and Overflow when its R + 1 buckets would exceed
-    ``_max_buckets(N)``, before anything R-sized is allocated.
-
-    The initial guess is the rounded reciprocal of the smallest rounded
-    offset step; whenever a truncated pair fails to separate, H grows by
-    an increment that starts at one ulp and doubles on every failure.
-    After any growth the whole array is re-certified, so the returned H
-    satisfies the separation property for every pair.
-
-    Each pass walks the knots in windows of ``_WINDOW`` pairs that overlap
-    by q knots, so every pair (i - q, i) is checked exactly once and in
-    order: the result, and the position any error reports, are those of
-    a pass over the whole array.
+    H0 is the rounded reciprocal of the smallest rounded gap-q offset step
+    and R0 = floor(H0 * span).  Raises NotDistinguishable when two gap-q
+    offsets round to the same value and Overflow when H0's table would
+    exceed ``_max_buckets(N)``.  The knots are walked in windows of
+    ``_WINDOW`` pairs that overlap by q knots, so the position an error
+    reports is that of a whole-array pass.
     """
-    n = p.n_intervals
-    if q < 1:
-        raise ValueError("gap must be >= 1")
-    xs = p.values
+    n = len(xs) - 1
     scalar = xs.dtype.type
     x0 = xs[0]
     # For q > N the separation requirement is vacuous; base the initial
@@ -182,80 +175,135 @@ def compute_h_r(p: SortedPartition, q: int = 1):
         if not low > 0 and basis == q:
             raise NotDistinguishable(a + int(np.argmin(step[: b - a] > 0)))
         smallest = np.minimum(smallest, low)
-
-    limit = _max_buckets(n)
     span = xs[-1] - x0
-    # inf - inf in the first increment when H is infinite; that H is refused.
     with np.errstate(over="ignore", invalid="ignore"):
         h = scalar(1.0) / smallest
-        growth = np.nextafter(h, scalar(np.inf)) - h
-        increments = 0
+    return h, _buckets(h, span, n), span
+
+
+def _buckets(h, span, n: int) -> int:
+    """R = floor(h * span), or Overflow when R + 1 exceeds ``_max_buckets(n)``."""
+    limit = _max_buckets(n)
+    with np.errstate(over="ignore", invalid="ignore"):
         # R + 1 <= limit exactly when floor(h * span) < limit.  The Python
         # comparison is exact, and false for an infinite or NaN product.
+        if not float(h * span) < limit:
+            raise Overflow(float(np.floor(h * span)) + 1, limit, n)
+        return int(np.floor(h * span))
+
+
+def compute_h_r(p: SortedPartition, q: int = 1):
+    """Certified scale factor and bucket count for a direct index.
+
+    Returns ``(h, r, HGrowthStats)``.  All arithmetic runs in the
+    partition's precision, matching what the search kernel will execute.
+    Raises NotDistinguishable when two gap-q offsets round to the same
+    value and Overflow when its R + 1 buckets would exceed
+    ``_max_buckets(N)``, before anything R-sized is allocated.
+
+    The initial guess comes from ``_initial_h``; whenever a truncated pair
+    fails to separate, H grows by an increment that starts at one ulp and
+    doubles on every failure.  After any growth the whole array is
+    re-certified by ``separates``, so the returned H satisfies the
+    separation property for every pair.
+    """
+    if q < 1:
+        raise ValueError("gap must be >= 1")
+    xs = p.values
+    h, _, span = _initial_h(xs, q)
+    limit = _max_buckets(p.n_intervals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = np.nextafter(h, xs.dtype.type(np.inf)) - h
+        increments = 0
         while float(h * span) < limit and not separates(xs, h, q):
             h = h + growth
             increments += 1
             growth = growth + growth
-        if not float(h * span) < limit:
-            raise Overflow(float(np.floor(h * span)) + 1, limit, n)
-
-    r = int(np.floor(h * span))
-    return h, r, HGrowthStats(increments)
+    return h, _buckets(h, span, p.n_intervals), HGrowthStats(increments)
 
 
-def _fill_table(k: np.ndarray, xs: np.ndarray, h, q: int) -> None:
-    """Write K into the zeroed ``k``, one chunk of knots at a time.
+def _fill_table(table: np.ndarray, xs: np.ndarray, h, q: int) -> bool:
+    """Write K into the zeroed ``table``, one chunk of knots at a time, and
+    prove from the same floors that h separates the knots at gap q.
 
     Each entry of K counts knots: at gap 1 (K_j = i exactly when f_{i-1} <
     j <= f_i) K_j = #{i : f_i < j}, and at gap q > 1 (K_j = max{i : f_i
     <= j}) K_j = #{i >= 1 : f_i <= j}.  So every knot i >= 1 adds one at
-    bucket f_{i-1} + 1 (gap 1) or f_i (gap q), where ``np.add.at`` counts
-    knots that share a bucket, and a running sum turns the counts into K.
+    bucket f_{i-1} + 1 (gap 1) or f_i (gap q), and a running sum turns the
+    counts into K.  After each chunk's adds, the running sum runs up to
+    the first bucket the next chunk adds to, so every entry is final one
+    chunk after its knots were read.
 
-    After each chunk's adds, the running sum runs up to the first bucket
-    the next chunk adds to, so every entry is final one chunk after its
-    knots were read.  ``k`` may be a strided view.
+    Separation is proven chunk by chunk; the fill returns False at the
+    first chunk that fails it, leaving the table part filled.  At gap 1
+    separated knots add at distinct buckets, so each add writes a 1 and K
+    reaches b - 1 just below the first bucket of the chunk after [a, b);
+    knots that share a bucket write one 1 and leave K short.
+    (``build_index`` checks the last pair, (N - 1, N), before allocating.)
+    At gap q > 1 a bucket may hold q knots, so ``np.add.at`` counts the
+    adds, and the chunk [a, b) compares the pairs (i - q, i) for i in
+    [a, b), reading the q knots before a.
+
+    A table of fused records gets its K in the ``idx`` field and, right
+    after each run, X_K in the ``val`` field.
     """
+    fused = table.dtype.names is not None
+    k = table["idx"] if fused else table
     n = len(xs) - 1
     x0 = xs[0]
     shift = int(q == 1)  # gap 1 reads knot i - 1 and adds past its bucket
-    width = min(_CHUNK, n) + 1
+    width = min(_CHUNK + q, n) + 1
     # The buckets are whole numbers below 2**52, since a table that long
     # could not be allocated.  Adding 2**52 to one in binary64 leaves it in
     # the low bits, so the int64 buckets come out of the float64 view of
     # the same buffer, and double precision needs no float buffer.
     j = np.empty(width, dtype=np.int64)
     jf = j.view(np.float64)
-    f = jf if xs.dtype == jf.dtype else np.empty(width, dtype=xs.dtype)
+    if xs.dtype == jf.dtype:
+        f, hit = jf, np.empty(width, dtype=bool)
+    else:  # single: the floors are copied into j before pairs are compared
+        f = np.empty(width, dtype=xs.dtype)
+        hit = f.view(bool)
+    if fused:
+        val = table["val"]
+        at = np.empty(min(_CHUNK, len(table)), dtype=np.int64)
+        got = np.empty(len(at), dtype=xs.dtype)
     one = K_DTYPE(1)
     done = 0  # k[:done] holds final entries
     for a in range(1, n + 1, _CHUNK):
         b = min(a + _CHUNK, n + 1)
-        e = min(b, n) + 1 - a  # the chunk's knots and the next chunk's first
-        lo = a - shift
-        _floors(xs[lo : lo + e], x0, h, f[:e])
+        lo, hi = max(a - q, 0), min(b, n) + 1 - shift  # the knots read
+        e = hi - lo
+        _floors(xs[lo:hi], x0, h, f[:e])
         if f is not jf:
             jf[:e] = f[:e]
         np.add(jf[:e], _TWO52 + shift, out=jf[:e])
         np.subtract(j[:e], _TWO52_BITS, out=j[:e])
-        np.add.at(k, j[: b - a], one)
-        end = len(k) if b > n else int(j[b - a])
+        adds = j[a - shift - lo : b - shift - lo]
+        if shift:
+            k[adds] = one  # two knots in one bucket leave K one short
+        else:
+            s, t = max(a, q) - lo, b - lo  # the pairs' upper knots
+            if s < t and not np.greater(j[s:t], j[s - q : t - q], out=hit[: t - s]).all():
+                return False
+            np.add.at(k, adds, one)
+        end = len(k) if b > n else int(j[b - shift - lo])
         run = k[max(done - 1, 0) : end]
         np.add.accumulate(run, out=run)
+        if shift and k[end - 1] != b - 1:
+            return False
+        if fused:
+            for c in range(done, end, len(at)):
+                d = min(c + len(at), end)
+                at[: d - c] = k[c:d]
+                np.take(xs, at[: d - c], out=got[: d - c], mode="clip")
+                val[c:d] = got[: d - c]
         done = end
+    return True
 
 
-def _fill_values(fused: np.ndarray, xs: np.ndarray) -> None:
-    """fused["val"] = X[fused["idx"]], gathered in chunks of _CHUNK records."""
-    idx, val = fused["idx"], fused["val"]
-    width = min(_CHUNK, len(fused))
-    at = np.empty(width, dtype=np.int64)
-    got = np.empty(width, dtype=xs.dtype)
-    for a in range(0, len(fused), _CHUNK):
-        b = min(a + _CHUNK, len(fused))
-        at[: b - a] = idx[a:b]
-        np.take(xs, at[: b - a], out=got[: b - a], mode="clip")
-        val[a:b] = got[: b - a]
+class _NotSeparated(ValueError):
+    """h puts two knots less than q apart into one bucket."""
 
 
 def build_index(
@@ -265,19 +313,26 @@ def build_index(
     q: int = 1,
     fused: bool = False,
 ) -> DirectIndex:
-    """Materialize the bucket table K for (h, r) produced by compute_h_r.
+    """Materialize the bucket table K for (h, r) and prove that h separates
+    the knots at gap q.
 
     O(N + R): one bucket evaluation per knot, one write per table entry.
     K is allocated once, at its final size R + 1, and filled chunk by
     chunk from the knots (see ``_fill_table``), so the build allocates no
-    N- or R-sized temporary.  With ``fused`` (gap 1 only) it allocates
-    only the (index, knot value) records, aligned as a C struct (8 bytes
-    in single precision, 16 in double), and fills their ``idx`` field as
-    K; the returned index's ``k`` is then None.  h is kept in the knots'
-    precision.  Raises ValueError for an h that precision cannot hold
-    exactly, for a gap below 1, for r other than f(X_N) and, at gap 1, for
-    f(X_{N-1}) not below r, and Overflow when R + 1 exceeds
-    ``_max_buckets(N)``, all before allocating anything.
+    N- or R-sized temporary.  The fill proves separation from the floors
+    it computes, so no K is returned for an h that fails it.  With
+    ``fused`` (gap 1 only) it allocates only the (index, knot value)
+    records, aligned as a C struct (8 bytes in single precision, 16 in
+    double), and fills their ``idx`` field as K and their ``val`` field as
+    X_K; the returned index's ``k`` is then None.  h is kept in the knots'
+    precision.
+
+    Raises ValueError for an h that precision cannot hold exactly, for a
+    gap below 1, for r other than f(X_N) and, at gap 1, for f(X_{N-1}) not
+    below r, and Overflow when R + 1 exceeds ``_max_buckets(N)``, all
+    before allocating anything.  Raises ValueError("h does not separate
+    the knots at gap q") after allocating K when a pair (i - q, i) shares a
+    bucket.
     """
     n = p.n_intervals
     if q < 1:
@@ -296,16 +351,17 @@ def build_index(
     if last[1] != r:
         raise ValueError(f"R = {r} is not f(X_N) = {last[1]:.0f} for this h")
     if q == 1 and last[0] >= r:
-        raise ValueError(f"f(X_{n - 1}) = {last[0]:.0f} is not below R = {r}, as gap 1 needs")
+        raise _NotSeparated(
+            f"h does not separate the knots at gap 1: "
+            f"f(X_{n - 1}) = {last[0]:.0f} is not below R = {r}"
+        )
     if fused and q != 1:
         raise ValueError("fused records pair with the gap-1 kernel")
     record = np.dtype([("idx", K_DTYPE), ("val", xs.dtype)], align=True)
     table = np.zeros(r + 1, dtype=record if fused else K_DTYPE)
-    k = table["idx"] if fused else table
-    _fill_table(k, xs, h, q)
-    assert k[-1] == n
-    if fused:
-        _fill_values(table, xs)
+    if not _fill_table(table, xs, h, q):
+        raise _NotSeparated(f"h does not separate the knots at gap {q}")
+    assert (table["idx"] if fused else table)[-1] == n
     table.setflags(write=False)
     return DirectIndex(
         x0=xs[0], h=h, r=r, q=q, n=n, k=None if fused else table, fused=table if fused else None
@@ -313,20 +369,30 @@ def build_index(
 
 
 def build(p: SortedPartition, q: int = 1, fused: bool = False):
-    """One-call construction: compute_h_r then build_index.
+    """One-call construction: what compute_h_r then build_index return.
+
+    The table is first filled for the initial guess H0, which the fill
+    proves separating on the way; only when it refuses H0 does
+    ``compute_h_r`` run its growth walk, and the table is filled again.
 
     Returns (DirectIndex, HGrowthStats).
     """
+    if q < 1:
+        raise ValueError("gap must be >= 1")
+    h, r, _ = _initial_h(p.values, q)
+    try:
+        return build_index(p, h, r, q=q, fused=fused), HGrowthStats(0)
+    except _NotSeparated:
+        pass  # leave the handler, so the refused table is freed first
     h, r, stats = compute_h_r(p, q=q)
     return build_index(p, h, r, q=q, fused=fused), stats
 
 
 def with_fused(idx: DirectIndex, p: SortedPartition) -> DirectIndex:
     """The fused form of a gap-1 index: the records ``build_index`` fills for
-    its (h, r), with ``k`` None.  Raises ValueError when h does not separate
-    the knots at the index's gap, and where ``build_index`` does."""
-    if not separates(p.values, idx.h, idx.q):
-        raise ValueError(f"h does not separate the knots at gap {idx.q}")
+    its (h, r), with ``k`` None.  Raises ValueError where ``build_index``
+    does, among them when h does not separate the knots at the index's
+    gap."""
     return build_index(p, idx.h, idx.r, q=idx.q, fused=True)
 
 

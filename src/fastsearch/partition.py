@@ -95,8 +95,10 @@ def validate_partition(raw, precision: str | None = None) -> SortedPartition:
     Raises PartitionError naming the dtype of input that is not real
     numbers (strings, complex, ``None``) and the shape of input that is not
     1-D, TooShort for fewer than two values, NonFinite at the first NaN,
-    infinity or integer past the float range, and NotStrictlyIncreasing at
-    the first i with raw[i-1] >= raw[i].
+    infinity or integer past the float range, and otherwise
+    NotStrictlyIncreasing at the first i with raw[i-1] >= raw[i].  A valid
+    array is read once, by the order check; the finiteness scan runs only
+    when that check fails.
     Non-array input is converted to the requested precision (double when not
     specified); array input keeps its dtype unless a precision is forced.
     """
@@ -115,11 +117,13 @@ def validate_partition(raw, precision: str | None = None) -> SortedPartition:
         raise NonFinite(overflow_at(raw)) from None
     if len(values) < 2:
         raise TooShort("a partition needs at least two values")
-    finite = np.isfinite(values)
-    if not finite.all():
-        raise NonFinite(int(np.argmin(finite)))
-    increasing = values[1:] > values[:-1]
-    if not increasing.all():
+    # One pass proves both: NaN fails every comparison, and in a strictly
+    # increasing array an infinity can only sit at an end.
+    increasing = np.greater(values[1:], values[:-1])
+    if not (increasing.all() and np.isfinite(values[0]) and np.isfinite(values[-1])):
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise NonFinite(int(np.argmin(finite)))
         raise NotStrictlyIncreasing(int(np.argmin(increasing)) + 1)
     return SortedPartition(values=_frozen(values))
 

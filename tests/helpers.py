@@ -47,3 +47,21 @@ def boundary_probes(p: SortedPartition) -> np.ndarray:
 def random_queries(p: SortedPartition, count: int, seed: int) -> np.ndarray:
     """Uniform in-domain queries in the partition's dtype (read-only)."""
     return gen_queries(p, count, seed)
+
+
+def same_build(built, want, want_stats) -> bool:
+    """Whether ``build``'s (index, stats) is ``want`` with ``want_stats`` bit
+    for bit: h's type and bits, r, gap, N, the table's (K's or the fused
+    records') type and bytes, and the growth count."""
+    idx, stats = built
+    table = idx.k if idx.k is not None else idx.fused
+    want_table = want.k if want.k is not None else want.fused
+    return (
+        idx.h.dtype == want.h.dtype
+        and idx.h.tobytes() == want.h.tobytes()
+        and (idx.r, idx.q, idx.n) == (want.r, want.q, want.n)
+        and (idx.k is None) == (want.k is None)
+        and table.dtype == want_table.dtype
+        and table.tobytes() == want_table.tobytes()
+        and stats == want_stats
+    )

@@ -22,7 +22,7 @@ from fastsearch.bench.harness import (
 )
 from fastsearch.bench.persist import load_index, save_index
 from fastsearch.bench.report import emit_report
-from fastsearch.direct import build, build_index, compute_h_r, direct_search, separates
+from fastsearch.direct import build, direct_search, separates
 from fastsearch.errors import (
     BadMagic,
     ChecksumMismatch,
@@ -656,15 +656,20 @@ class TestIndexCli:
         assert f"bad index file: K[{j}] = {k[j]} is not the table built from h" in err
 
     def test_non_separating_h_is_rejected(self, tmp_path, capsys):
-        """K built from H / 1.5 with its own consistent R is that H's table,
-        but that H puts two knots in one bucket."""
+        """A file holding H / 1.5, its own consistent R and that H's table,
+        K_j = #{i : f(X_i) < j}, written here from the floors because
+        build_index returns no K for an H that puts two knots in one
+        bucket."""
         p = gen_uniform_gap_partition(1025, 1, 5, seed=5)
-        h, _, _ = compute_h_r(p)
-        h = h / 1.5
-        r = int(np.floor(h * (p.values[-1] - p.values[0])))
+        idx, _ = build(p)
+        h = idx.h / 1.5
+        f = np.floor(h * (p.values - p.values[0]))
+        r = int(f[-1])
         assert not separates(p.values, h, 1)
+        k = np.searchsorted(f, np.arange(r + 1), side="left").astype(np.uint32)
+        assert k[0] == 0 and k[-1] == p.n_intervals
         out = tmp_path / "t.idx"
-        save_index(build_index(p, h, r, 1), out)
+        save_index(dataclasses.replace(idx, h=h, r=r, k=k), out)
         knots = self.write_partition(tmp_path, p.values.tolist())
         assert index_main(["load", "--path", str(out), "--partition", str(knots)]) == 3
         err = capsys.readouterr().err

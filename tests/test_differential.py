@@ -10,15 +10,16 @@ deterministic.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastsearch.batch import ALGORITHMS, prepare, run_batch
-from fastsearch.direct import compute_h_r
+from fastsearch.direct import build, build_index, compute_h_r
 from fastsearch.errors import InfeasibleError
 from fastsearch.partition import linear_scan_oracle_batch, validate_partition
 
-from helpers import boundary_probes
+from helpers import boundary_probes, same_build
 
 #: Gap of each direct kernel's table.
 GAP = {"direct": 1, "direct-gap2": 2, "direct-cache": 1}
@@ -78,3 +79,22 @@ def test_every_kernel_matches_oracle(p, as_float64):
         for d in (1, 8):
             got = run_batch(prep, queries, d=d)
             assert np.array_equal(got, want), (name, d, p.values, queries[got != want])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(p=adversarial_partitions(), q=st.integers(1, 3), fused=st.booleans())
+def test_build_is_compute_h_r_then_build_index(p, q, fused):
+    """build fills the table for the initial guess and grows H only when
+    the fill refuses it; it returns what compute_h_r then build_index
+    return, bit for bit, or raises what compute_h_r raises."""
+    fused = fused and q == 1
+    try:
+        h, r, stats = compute_h_r(p, q=q)
+    except InfeasibleError as exc:
+        with pytest.raises(type(exc)) as got:
+            build(p, q=q, fused=fused)
+        assert str(got.value) == str(exc)
+        return
+    if r > MAX_TABLE:
+        return
+    assert same_build(build(p, q=q, fused=fused), build_index(p, h, r, q=q, fused=fused), stats)

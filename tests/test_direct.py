@@ -27,7 +27,7 @@ from fastsearch.partition import (
     validate_partition,
 )
 
-from helpers import boundary_probes, random_queries
+from helpers import boundary_probes, random_queries, same_build
 
 WORKED = [0.0, 0.5, 0.7, 1.1]
 
@@ -208,8 +208,10 @@ class TestBuildIndex:
     def test_last_knot_in_last_bucket_rejected(self, div):
         """At gap 1 every knot i adds one at bucket f(X_{i-1}) + 1, so a
         consistent (h, r) with f(X_{N-1}) = R would write past K.  It is
-        refused by name before K is allocated; gap 2 adds at f(X_i) <= R
-        and builds."""
+        refused by name, as the separation failure it is, before K is
+        allocated.  Gap 2 adds at f(X_i) <= R, so that check is not made
+        there: H / 2 still separates the knots at gap 2 and builds, and
+        H / 4 does not, which the fill finds."""
         p = gen_uniform_gap_partition(2**16 + 1, 1, 5, seed=5)
         h, _, _ = compute_h_r(p)
         h = h / div
@@ -223,7 +225,15 @@ class TestBuildIndex:
         finally:
             tracemalloc.stop()
         assert peak < r, (peak, r)
-        assert build_index(p, h, r, q=2).k[-1] == p.n_intervals
+        with pytest.raises(ValueError, match="h does not separate the knots at gap 1"):
+            build_index(p, h, r, q=1)
+        if div == 2:
+            assert separates(p.values, h, 2)
+            assert build_index(p, h, r, q=2).k[-1] == p.n_intervals
+        else:
+            assert not separates(p.values, h, 2)
+            with pytest.raises(ValueError, match="h does not separate the knots at gap 2"):
+                build_index(p, h, r, q=2)
 
 
     def test_exact_python_float_h_kept_in_knot_precision(self):
@@ -449,6 +459,110 @@ class TestSeparates:
         monkeypatch.setattr(direct, "separates", spy)
         compute_h_r(gen_uniform_gap_partition(300, 1, 5, seed=1), q=2)
         assert seen and all(call == (300, 2) for call in seen)
+
+
+def one_collision(n, q, c, precision):
+    """Knots 2i, except that knots c - q + 1 .. c sit a quarter, a half and
+    three quarters above knot c - q.  With h = 0.5, knot i is in bucket i
+    and those q + 1 knots share bucket c - q, so (c - q, c) is the one pair
+    that h fails to separate at gap q."""
+    knots = 2.0 * np.arange(n + 1)
+    knots[c - q + 1 : c + 1] = knots[c - q] + 0.25 * np.arange(1, q + 1)
+    return validate_partition(knots, precision)
+
+
+class TestSeparationInTheFill:
+    """build_index proves separation from the floors its fill computes and
+    returns no K for an h that fails it.  build fills the table for the
+    initial guess H0 first and walks ``separates`` only when the fill
+    refuses H0, ending with what compute_h_r and build_index give."""
+
+    C = direct._CHUNK
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_refuses_scaled_down_h(self, q, precision):
+        """0.7 times the certified H, with R = f(X_N) for it, puts knots q
+        apart into one bucket.  In double at gap 1 the K built from it
+        answered 71 of 100,000 ``gen_queries(p, 100_000, seed=9)`` queries
+        wrong; no K is returned now, plain or fused."""
+        p = gen_uniform_gap_partition(4097, 1, 5, seed=3, precision=precision)
+        h = compute_h_r(p, q=q)[0] * p.values.dtype.type(0.7)
+        r = int(np.floor(h * (p.values[-1] - p.values[0])))
+        f = np.floor(h * (p.values - p.values[0]))
+        assert not separates(p.values, h, q) and f[-2] < f[-1]
+        for fused in (False, True) if q == 1 else (False,):
+            with pytest.raises(ValueError, match=f"^h does not separate the knots at gap {q}$"):
+                build_index(p, h, r, q=q, fused=fused)
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "at", ["q", C, C + 1, C + 2, C + 3, 2 * C + 1, "n-1", "n"]
+    )
+    def test_one_failing_pair_anywhere(self, at, q, precision):
+        """Chunk m checks the pairs (i - q, i) for i in [1 + mC, 1 + (m+1)C),
+        reading q knots of the chunk before it.  A lone failing pair at
+        either side of a chunk edge, at the first pair or at the last, is
+        found; the same knots without it build the run-length K."""
+        n = 3 * self.C + 7
+        c = {"q": q, "n-1": n - 1, "n": n}.get(at, at)
+        p = one_collision(n, q, c, precision)
+        h = p.values.dtype.type(0.5)
+        f = np.floor(h * (p.values - p.values[0]))
+        assert (np.flatnonzero(f[q:] <= f[:-q]) + q).tolist() == [c]
+        assert not separates(p.values, h, q)
+        r = int(f[-1])
+        with pytest.raises(ValueError, match=f"h does not separate the knots at gap {q}"):
+            build_index(p, h, r, q=q)
+        clean = validate_partition(2.0 * np.arange(n + 1), precision)
+        want = repeat_table(clean, h, n, q)
+        assert build_index(clean, h, n, q=q).k.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_build_walks_only_when_h0_fails(self, q, monkeypatch):
+        """build calls ``separates`` 0 times when H0 separates the knots;
+        it calls it when H0 needs growth, as compute_h_r does."""
+        calls = []
+
+        def spy(xs, h, q=1):
+            calls.append(q)
+            return real(xs, h, q)
+
+        real = direct.separates
+        monkeypatch.setattr(direct, "separates", spy)
+        for precision in ("single", "double"):
+            p = gen_uniform_gap_partition(20_000, 1, 5, seed=q, precision=precision)
+            for fused in (False, True) if q == 1 else (False,):
+                assert build(p, q=q, fused=fused)[1].increments == 0
+            assert calls == []
+            head = gen_uniform_gap_partition(
+                15, 1, 5, seed=GROWTH_SEEDS[precision, q], precision=precision
+            )
+            assert build(head, q=q)[1].increments > 0
+            assert calls and set(calls) == {q}
+            calls.clear()
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["head", "growth", "uniform", "shared"])
+    def test_build_is_compute_h_r_then_build_index(self, kind, q, precision):
+        """Bit for bit: h (type and bits), r, K or the records, and the
+        growth count, on the partitions whose certification grows H
+        (``TestComputeHR::test_growth_path_certifies``' among them) and on
+        the chunked-construction partitions."""
+        if kind == "head":
+            p = gen_uniform_gap_partition(
+                15, 1, 5, seed=GROWTH_SEEDS[precision, q], precision=precision
+            )
+        else:
+            p = chunk_partition(kind, 3 * self.C + 7, precision, q)
+        h, r, stats = compute_h_r(p, q=q)
+        if kind in ("head", "growth"):
+            assert stats.increments > 0
+        for fused in (False, True) if q == 1 else (False,):
+            want = build_index(p, h, r, q=q, fused=fused)
+            assert same_build(build(p, q=q, fused=fused), want, stats)
 
 
 class TestOverflowCounts:

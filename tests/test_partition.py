@@ -49,6 +49,41 @@ class TestValidate:
             validate_partition([0, 1, np.inf])
         assert exc.value.position == 2
 
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize(
+        "raw, error, position",
+        [
+            ([0.0, 2.0, 1.0, 3.0, np.nan, 5.0], NonFinite, 4),
+            ([0.0, 1.0, 1.0, np.nan], NonFinite, 3),
+            ([3.0, 2.0, np.nan], NonFinite, 2),
+            ([-np.inf, 0.0, 1.0, 2.0], NonFinite, 0),
+            ([0.0, 1.0, 2.0, np.inf], NonFinite, 3),
+            ([-np.inf, 0.0, np.inf], NonFinite, 0),
+            ([0.0, 1.0, np.inf, 5.0], NonFinite, 2),
+            ([0.0, -np.inf, 1.0, 2.0], NonFinite, 1),
+            ([0.0, 1.0, np.inf, np.inf], NonFinite, 2),
+            ([np.nan, 0.0, 1.0], NonFinite, 0),
+            ([0.0, 2.0, 1.0, 3.0], NotStrictlyIncreasing, 2),
+        ],
+        ids=[
+            "nan-after-descent", "nan-after-duplicate", "nan-after-descent-at-start",
+            "neg-inf-at-x0", "pos-inf-at-xn", "both-ends-inf", "pos-inf-interior",
+            "neg-inf-interior", "inf-pair-at-end", "nan-at-x0", "descent",
+        ],
+    )
+    def test_error_class_and_position(self, raw, error, position, precision):
+        """Order is checked first, finiteness only when order fails, yet the
+        errors are those of a finiteness pass ahead of the order pass:
+        NonFinite at the first NaN or infinity, even after an earlier
+        non-increasing pair, and an infinity at either end, whose
+        neighbours compare in order.  Comparing a NaN warns of nothing
+        under the suite's ``-W error``."""
+        for dtype in (None, np.float64, np.float32):
+            values = list(raw) if dtype is None else np.array(raw, dtype=dtype)
+            with pytest.raises(error) as exc:
+                validate_partition(values, precision)
+            assert exc.value.position == position
+
     @pytest.mark.parametrize(
         "raw, position",
         [([0, 10**400], 1), ([0, -(10**400)], 1), ([-(10**400), 0, 10**400], 0)],
