@@ -281,7 +281,7 @@ def _fill_table(table: np.ndarray, xs: np.ndarray, h, q: int) -> bool:
         np.subtract(j[:e], _TWO52_BITS, out=j[:e])
         adds = j[a - shift - lo : b - shift - lo]
         if shift:
-            k[adds] = one  # two knots in one bucket leave K one short
+            k[adds] = one  # knots that share a bucket leave K short
         else:
             s, t = max(a, q) - lo, b - lo  # the pairs' upper knots
             if s < t and not np.greater(j[s:t], j[s - q : t - q], out=hit[: t - s]).all():
