@@ -25,18 +25,19 @@ rounded reciprocal H0 of the smallest rounded gap-q offset difference,
 increments until the :func:`separates` walk passes.  :func:`build_index`
 proves separation from the floors its table fill computes anyway and
 refuses an H that fails it, so :func:`build` fills the table for H0 and
-walks only when the fill refuses H0.  Arrays whose rounded offsets
-collide (NotDistinguishable) or whose table would hold more buckets than
-``_max_buckets(N)`` (Overflow) are rejected before any table is
-allocated.
+starts the growth walk from H0 only when the fill refuses it.  Arrays
+whose rounded offsets collide (NotDistinguishable) or whose table would
+hold more buckets than ``_max_buckets(N)`` (Overflow) are rejected
+before any table is allocated.
 
-Certification and the table fill walk the knots in fixed windows and
-chunks with scratch buffers allocated once per pass, so set-up allocates
-the tables it keeps plus a few chunk-sized buffers: no N- or R-sized
-temporary.  K is allocated once, at its final size.  A fused index keeps
-only its records, whose ``idx`` field is its K and whose ``val`` field
-the fill writes as each run of K is finished; the cache kernel alone
-reads them, so it is searched and saved through its plain twin.
+Certification and the table fill walk the knots in windows and chunks
+of up to 2**14 knots, sized by N, with scratch buffers allocated once
+per pass, so set-up allocates the tables it keeps plus a few chunk-sized
+buffers: no N- or R-sized temporary.  K is allocated once, at its final
+size.  A fused index keeps only its records, whose ``idx`` field is its
+K and whose ``val`` field the fill writes as each run of K is finished;
+the cache kernel alone reads them, so it is searched and saved through
+its plain twin.
 """
 
 from __future__ import annotations
@@ -52,18 +53,35 @@ from .partition import SortedPartition, check_domain, precision_of
 #: Table-entry width is fixed at 32-bit unsigned; construction refuses larger N.
 K_DTYPE = np.uint32
 
-#: Knots per chunk of the table fill.  Its scratch lives beside the
-#: table, so the chunk stays small against the smallest table: at
-#: N = 2**16 the fill's buffers (at most 12 bytes a knot) stay under 15%
-#: of a gap-2 K.  Sweep over 2**10 .. 2**16 in CHANGES.md.
+#: Knots per chunk of the table fill below N = 2**18, where ``_chunk``
+#: grows it.  The fill's scratch (at most 12 bytes a knot for a plain K)
+#: lives beside the table: at N = 2**16 it stays under 15% of a gap-2 K.
+#: Sweep over 2**10 .. 2**16 in CHANGES.md.
 _CHUNK = 1 << 12
-#: Pairs per window of the certification passes.  Their scratch (at most
-#: 17 bytes a pair) is freed before any table is allocated, so the windows
-#: can be wider than the fill's chunks, which saves per-window overhead:
-#: at N = 2**20 certification took 7.3 ms over windows of 2**12 pairs and
-#: 3.3 ms over 2**13.  At 2**14 it gained little more, and the rebuild
-#: workload's resident set grew 6% (sweep in CHANGES.md).
+#: Pairs per window of the certification passes below N = 2**19, where
+#: ``_window`` grows it.  Their scratch (at most 17 bytes a pair) is freed
+#: before any table is allocated: at N = 2**20 certification took 7.3 ms
+#: over windows of 2**12 pairs and 3.3 ms over 2**13; at N = 2**16,
+#: windows of 2**14 grew the rebuild workload's resident set by 6%.
 _WINDOW = 1 << 13
+
+
+def _chunk(n: int) -> int:
+    """Knots per chunk of the table fill over n intervals: n / 64 within
+    [``_CHUNK``, 2**14].  Each chunk pays numpy's per-call costs: at
+    N = 2**20 float32 the K fill took 12.4 ms in chunks of 2**12 and 8.1
+    ms in chunks of 2**14 (2**15 and 2**16 gained under 1 ms).  From
+    N = 2**18 up the scratch, at most 25 bytes a knot, stays under 10% of
+    the table (at least 4 bytes a bucket, and R >= N)."""
+    return min(max(n >> 6, _CHUNK), 1 << 14)
+
+
+def _window(n: int) -> int:
+    """Pairs per certification window over n intervals: the fill's chunk,
+    at least ``_WINDOW``.  At N = 2**20 float32, windows of 2**14 took the
+    initial guess 0.67 ms and certification 1.46 ms (1.07 and 2.05 ms over
+    2**13)."""
+    return max(_WINDOW, _chunk(n))
 
 
 def _max_buckets(n: int) -> int:
@@ -133,11 +151,12 @@ def separates(xs: np.ndarray, h, q: int = 1) -> bool:
     knots' precision, where D_i = X_i - X_0 (vacuous for q > N).  A NaN or
     overflowed product fails the comparison without a warning."""
     n, x0 = len(xs) - 1, xs[0]
-    off = np.empty(min(_WINDOW, n) + q, dtype=xs.dtype)
-    hit = np.empty(min(_WINDOW, n), dtype=bool)
+    window = _window(n)
+    off = np.empty(min(window, n) + q, dtype=xs.dtype)
+    hit = np.empty(min(window, n), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(q, n + 1, _WINDOW):
-            b = min(a + _WINDOW, n + 1)
+        for a in range(q, n + 1, window):
+            b = min(a + window, n + 1)
             f = _floors(xs[a - q : b], x0, h, off[: b - a + q])
             if not np.greater(f[q:], f[:-q], out=hit[: b - a]).all():
                 return False
@@ -152,7 +171,7 @@ def _initial_h(xs: np.ndarray, q: int):
     and R0 = floor(H0 * span).  Raises NotDistinguishable when two gap-q
     offsets round to the same value and Overflow when H0's table would
     exceed ``_max_buckets(N)``.  The knots are walked in windows of
-    ``_WINDOW`` pairs that overlap by q knots, so the position an error
+    ``_window(N)`` pairs that overlap by q knots, so the position an error
     reports is that of a whole-array pass.
     """
     n = len(xs) - 1
@@ -161,13 +180,14 @@ def _initial_h(xs: np.ndarray, q: int):
     # For q > N the separation requirement is vacuous; base the initial
     # guess on the widest available stride so the bucket count stays small.
     basis = min(q, n)
-    width = min(_WINDOW, n + 1 - basis)
+    window = _window(n)
+    width = min(window, n + 1 - basis)
     off = np.empty(width + basis, dtype=xs.dtype)
     step = np.empty(width, dtype=xs.dtype)
 
     smallest = scalar(np.inf)
-    for a in range(basis, n + 1, _WINDOW):
-        b = min(a + _WINDOW, n + 1)
+    for a in range(basis, n + 1, window):
+        b = min(a + window, n + 1)
         o = np.subtract(xs[a - basis : b], x0, out=off[: b - a + basis])
         low = np.subtract(o[basis:], o[:-basis], out=step[: b - a]).min()
         # Offsets never decrease, so a step that is not positive is a
@@ -201,30 +221,40 @@ def compute_h_r(p: SortedPartition, q: int = 1):
     value and Overflow when its R + 1 buckets would exceed
     ``_max_buckets(N)``, before anything R-sized is allocated.
 
-    The initial guess comes from ``_initial_h``; whenever a truncated pair
-    fails to separate, H grows by an increment that starts at one ulp and
-    doubles on every failure.  After any growth the whole array is
-    re-certified by ``separates``, so the returned H satisfies the
-    separation property for every pair.
+    The initial guess comes from ``_initial_h``; when ``separates`` refuses
+    it, ``_grow`` takes over, so the returned H satisfies the separation
+    property for every pair.
     """
     if q < 1:
         raise ValueError("gap must be >= 1")
-    xs = p.values
-    h, _, span = _initial_h(xs, q)
-    limit = _max_buckets(p.n_intervals)
+    h, r, span = _initial_h(p.values, q)
+    if separates(p.values, h, q):
+        return h, r, HGrowthStats(0)
+    return _grow(p.values, h, span, q)
+
+
+def _grow(xs: np.ndarray, h, span, q: int):
+    """Grow an h that fails to separate the knots at gap q until it does:
+    by an increment that starts at one ulp of h and doubles on every
+    failure, re-certifying the whole array by ``separates`` after each
+    step.  Returns ``(h, r, HGrowthStats)``; raises Overflow once R + 1
+    would exceed ``_max_buckets(N)``.  ``compute_h_r`` and ``build`` share
+    it, so both give the same h bit for bit."""
+    n = len(xs) - 1
+    limit = _max_buckets(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        growth = np.nextafter(h, xs.dtype.type(np.inf)) - h
-        increments = 0
+        step = np.nextafter(h, xs.dtype.type(np.inf)) - h
+        h, increments = h + step, 1
         while float(h * span) < limit and not separates(xs, h, q):
-            h = h + growth
-            increments += 1
-            growth = growth + growth
-    return h, _buckets(h, span, p.n_intervals), HGrowthStats(increments)
+            step = step + step
+            h, increments = h + step, increments + 1
+    return h, _buckets(h, span, n), HGrowthStats(increments)
 
 
 def _fill_table(table: np.ndarray, xs: np.ndarray, h, q: int) -> bool:
-    """Write K into the zeroed ``table``, one chunk of knots at a time, and
-    prove from the same floors that h separates the knots at gap q.
+    """Write K into the zeroed ``table``, one chunk of ``_chunk(N)`` knots at
+    a time, and prove from the same floors that h separates the knots at
+    gap q.
 
     Each entry of K counts knots: at gap 1 (K_j = i exactly when f_{i-1} <
     j <= f_i) K_j = #{i : f_i < j}, and at gap q > 1 (K_j = max{i : f_i
@@ -233,6 +263,14 @@ def _fill_table(table: np.ndarray, xs: np.ndarray, h, q: int) -> bool:
     counts into K.  After each chunk's adds, the running sum runs up to
     the first bucket the next chunk adds to, so every entry is final one
     chunk after its knots were read.
+
+    The running sum goes through a strided operand: with numpy 2.4,
+    ``np.add.accumulate`` in place over 3.1M contiguous uint32 buckets
+    took 7.8 ms, and over the strided ``idx`` field of fused records 1.6
+    ms.  So a fused table is summed in place, and a plain K in pieces into
+    the bucket scratch ``j`` viewed as every other uint32, each piece
+    copied back; consecutive pieces share one entry, so each piece starts
+    from a final one.
 
     Separation is proven chunk by chunk; the fill returns False at the
     first chunk that fails it, leaving the table part filled.  At gap 1
@@ -252,12 +290,15 @@ def _fill_table(table: np.ndarray, xs: np.ndarray, h, q: int) -> bool:
     n = len(xs) - 1
     x0 = xs[0]
     shift = int(q == 1)  # gap 1 reads knot i - 1 and adds past its bucket
-    width = min(_CHUNK + q, n) + 1
+    chunk = _chunk(n)
+    width = min(chunk + q, n) + 1
     # The buckets are whole numbers below 2**52, since a table that long
     # could not be allocated.  Adding 2**52 to one in binary64 leaves it in
     # the low bits, so the int64 buckets come out of the float64 view of
-    # the same buffer, and double precision needs no float buffer.
-    j = np.empty(width, dtype=np.int64)
+    # the same buffer, and double precision needs no float buffer.  A
+    # plain K's running sum reuses the buffer, so it spans a chunk of K
+    # even where the knots are fewer.
+    j = np.empty(max(width, min(chunk, len(k))), dtype=np.int64)
     jf = j.view(np.float64)
     if xs.dtype == jf.dtype:
         f, hit = jf, np.empty(width, dtype=bool)
@@ -266,12 +307,14 @@ def _fill_table(table: np.ndarray, xs: np.ndarray, h, q: int) -> bool:
         hit = f.view(bool)
     if fused:
         val = table["val"]
-        at = np.empty(min(_CHUNK, len(table)), dtype=np.int64)
+        at = np.empty(min(chunk, len(table)), dtype=np.int64)
         got = np.empty(len(at), dtype=xs.dtype)
+    else:
+        piece = j.view(K_DTYPE)[::2]
     one = K_DTYPE(1)
     done = 0  # k[:done] holds final entries
-    for a in range(1, n + 1, _CHUNK):
-        b = min(a + _CHUNK, n + 1)
+    for a in range(1, n + 1, chunk):
+        b = min(a + chunk, n + 1)
         lo, hi = max(a - q, 0), min(b, n) + 1 - shift  # the knots read
         e = hi - lo
         _floors(xs[lo:hi], x0, h, f[:e])
@@ -288,16 +331,21 @@ def _fill_table(table: np.ndarray, xs: np.ndarray, h, q: int) -> bool:
                 return False
             np.add.at(k, adds, one)
         end = len(k) if b > n else int(j[b - shift - lo])
-        run = k[max(done - 1, 0) : end]
-        np.add.accumulate(run, out=run)
-        if shift and k[end - 1] != b - 1:
-            return False
         if fused:
+            run = k[max(done - 1, 0) : end]
+            np.add.accumulate(run, out=run)
             for c in range(done, end, len(at)):
                 d = min(c + len(at), end)
                 at[: d - c] = k[c:d]
                 np.take(xs, at[: d - c], out=got[: d - c], mode="clip")
                 val[c:d] = got[: d - c]
+        else:
+            for c in range(max(done - 1, 0), end - 1, len(piece) - 1):
+                d = min(c + len(piece), end)
+                np.add.accumulate(k[c:d], out=piece[: d - c])
+                k[c:d] = piece[: d - c]
+        if shift and k[end - 1] != b - 1:
+            return False
         done = end
     return True
 
@@ -372,19 +420,19 @@ def build(p: SortedPartition, q: int = 1, fused: bool = False):
     """One-call construction: what compute_h_r then build_index return.
 
     The table is first filled for the initial guess H0, which the fill
-    proves separating on the way; only when it refuses H0 does
-    ``compute_h_r`` run its growth walk, and the table is filled again.
+    proves separating on the way; only when it refuses H0 does ``_grow``
+    walk from H0, as ``compute_h_r`` does, and the table is filled again.
 
     Returns (DirectIndex, HGrowthStats).
     """
     if q < 1:
         raise ValueError("gap must be >= 1")
-    h, r, _ = _initial_h(p.values, q)
+    h, r, span = _initial_h(p.values, q)
     try:
         return build_index(p, h, r, q=q, fused=fused), HGrowthStats(0)
     except _NotSeparated:
         pass  # leave the handler, so the refused table is freed first
-    h, r, stats = compute_h_r(p, q=q)
+    h, r, stats = _grow(p.values, h, span, q)
     return build_index(p, h, r, q=q, fused=fused), stats
 
 

@@ -545,6 +545,31 @@ class TestSeparationInTheFill:
 
     @pytest.mark.parametrize("precision", ["single", "double"])
     @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_growth_starts_from_refused_h0(self, q, precision, monkeypatch):
+        """When the fill refuses H0, build computes H0 once and grows H from
+        it: ``separates`` walks only the grown values, once each."""
+        guesses, walked = [], []
+
+        def initial_h(xs, q):
+            guesses.append(real_initial_h(xs, q))
+            return guesses[-1]
+
+        def walk(xs, h, q=1):
+            walked.append(h)
+            return real_separates(xs, h, q)
+
+        real_initial_h, real_separates = direct._initial_h, direct.separates
+        monkeypatch.setattr(direct, "_initial_h", initial_h)
+        monkeypatch.setattr(direct, "separates", walk)
+        p = chunk_partition("growth", 3 * self.C + 7, precision, q)
+        _, stats = build(p, q=q)
+        assert len(guesses) == 1
+        h0 = guesses[0][0]
+        assert stats.increments == len(walked) > 0
+        assert all(h > h0 for h in walked)
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("q", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["head", "growth", "uniform", "shared"])
     def test_build_is_compute_h_r_then_build_index(self, kind, q, precision):
         """Bit for bit: h (type and bits), r, K or the records, and the
@@ -782,13 +807,60 @@ class TestChunkedConstruction:
         """prepare's peak stays within 1.15x the tables it keeps: the
         construction allocates no N- or R-sized temporary, and a fused
         index no K besides its records."""
-        p = gen_uniform_gap_partition((1 << 16) + 1, 1, 5, seed=91, precision=precision)
-        tracemalloc.start()
-        try:
-            prep = prepare(algorithm, p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        idx = prep.structure
-        kept = sum(a.nbytes for a in (idx.k, idx.fused) if a is not None)
-        assert peak < 1.15 * kept, (peak, kept)
+        assert_setup_allocates_what_it_keeps(algorithm, (1 << 16) + 1, precision)
+
+
+def assert_setup_allocates_what_it_keeps(algorithm, n, precision):
+    p = gen_uniform_gap_partition(n, 1, 5, seed=91, precision=precision)
+    tracemalloc.start()
+    try:
+        prep = prepare(algorithm, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    idx = prep.structure
+    kept = sum(a.nbytes for a in (idx.k, idx.fused) if a is not None)
+    assert peak < 1.15 * kept, (peak, kept)
+
+
+class TestGrownChunk:
+    """From N = 2**18 up the fill's chunk follows N (``direct._chunk``).  At
+    N = 2**19 + 7 it is larger than at the shapes above, and the fill still
+    builds the run-length K and records and refuses a lone failing pair at
+    the chunk edges."""
+
+    N = (1 << 19) + 7
+    C = direct._chunk(N)
+
+    def test_chunk_is_grown(self):
+        assert self.C > direct._chunk((1 << 16) + 1) == direct._CHUNK
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_tables_match_repeat_construction(self, precision, q):
+        p = chunk_partition("uniform", self.N, precision, q)
+        h, r, _ = compute_h_r(p, q=q)
+        want = repeat_table(p, h, r, q)
+        assert build_index(p, h, r, q=q).k.tobytes() == want.tobytes()
+        if q == 1:
+            assert build_index(p, h, r, fused=True).fused.tobytes() == repeat_records(p, want)
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("edge", [1, 2])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_one_failing_pair_at_chunk_edges(self, side, edge, q, precision):
+        """The last pair of chunk ``edge`` - 1 or the first of chunk ``edge``."""
+        c = edge * self.C + side
+        p = one_collision(self.N, q, c, precision)
+        h = p.values.dtype.type(0.5)
+        f = np.floor(h * (p.values - p.values[0]))
+        assert (np.flatnonzero(f[q:] <= f[:-q]) + q).tolist() == [c]
+        for fused in (False, True) if q == 1 else (False,):
+            with pytest.raises(ValueError, match=f"^h does not separate the knots at gap {q}$"):
+                build_index(p, h, int(f[-1]), q=q, fused=fused)
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("algorithm", ["direct", "direct-gap2", "direct-cache"])
+    def test_setup_allocates_what_it_keeps(self, algorithm, precision):
+        assert_setup_allocates_what_it_keeps(algorithm, self.N, precision)
