@@ -19,21 +19,21 @@ fast scalar and lane kernels live in :mod:`fastsearch.batch`.
 
 Construction certifies the separation property directly in floating
 point: every truncated product pair floor(H*D_{i+q}) > floor(H*D_i)
-holds, where D_i is the rounded offset X_i - X_0.  Starting from the
-rounded reciprocal H0 of the smallest rounded gap-q offset difference,
-:func:`compute_h_r` grows H by exponentially doubling ulp-scale
-increments until the :func:`separates` walk passes.  :func:`build_index`
-proves separation from the floors its table fill computes anyway and
-refuses an H that fails it, so :func:`build` fills the table for H0 and
-starts the growth walk from H0 only when the fill refuses it.  Arrays
-whose rounded offsets collide (NotDistinguishable) or whose table would
-hold more buckets than ``_max_buckets(N)`` (Overflow) are rejected
-before any table is allocated.
+holds, where D_i is the rounded offset X_i - X_0.  :func:`build_index`
+proves it from the floors its table fill computes and refuses an H that
+fails it; that fill is the library's one separation proof.  So
+:func:`build` fills the table for the rounded reciprocal H0 of the
+smallest rounded gap-q offset difference and, while the fill refuses H,
+grows H by exponentially doubling ulp-scale increments and fills again;
+:func:`compute_h_r` returns its H and R.  Arrays whose rounded offsets
+collide (NotDistinguishable) or whose table would hold more buckets than
+``_max_buckets(N)`` (Overflow) are rejected before that table is
+allocated.
 
-Certification and the table fill walk the knots in windows and chunks
-of up to 2**14 knots, sized by N, with scratch buffers allocated once
-per pass, so set-up allocates the tables it keeps plus a few chunk-sized
-buffers: no N- or R-sized temporary.  K is allocated once, at its final
+The initial guess and the table fill walk the knots in chunks of up to
+2**14 knots, sized by N, with scratch buffers allocated once per pass,
+so set-up allocates the tables it keeps plus a few chunk-sized buffers:
+no N- or R-sized temporary.  K is allocated once, at its final
 size.  A fused index keeps only its records, whose ``idx`` field is its
 K and whose ``val`` field the fill writes as each run of K is finished;
 the cache kernel alone reads them, so it is searched and saved through
@@ -43,7 +43,7 @@ its plain twin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, isfinite
 
 import numpy as np
 
@@ -53,35 +53,21 @@ from .partition import SortedPartition, check_domain, precision_of
 #: Table-entry width is fixed at 32-bit unsigned; construction refuses larger N.
 K_DTYPE = np.uint32
 
-#: Knots per chunk of the table fill below N = 2**18, where ``_chunk``
-#: grows it.  The fill's scratch (at most 12 bytes a knot for a plain K)
-#: lives beside the table: at N = 2**16 it stays under 15% of a gap-2 K.
-#: Sweep over 2**10 .. 2**16 in CHANGES.md.
+#: Knots per chunk of the initial guess and the table fill below
+#: N = 2**18, where ``_chunk`` grows it.  The fill's scratch (at most 12
+#: bytes a knot for a plain K) lives beside the table: at N = 2**16 it
+#: stays under 15% of a gap-2 K.  Sweep over 2**10 .. 2**16 in CHANGES.md.
 _CHUNK = 1 << 12
-#: Pairs per window of the certification passes below N = 2**19, where
-#: ``_window`` grows it.  Their scratch (at most 17 bytes a pair) is freed
-#: before any table is allocated: at N = 2**20 certification took 7.3 ms
-#: over windows of 2**12 pairs and 3.3 ms over 2**13; at N = 2**16,
-#: windows of 2**14 grew the rebuild workload's resident set by 6%.
-_WINDOW = 1 << 13
 
 
 def _chunk(n: int) -> int:
-    """Knots per chunk of the table fill over n intervals: n / 64 within
-    [``_CHUNK``, 2**14].  Each chunk pays numpy's per-call costs: at
-    N = 2**20 float32 the K fill took 12.4 ms in chunks of 2**12 and 8.1
-    ms in chunks of 2**14 (2**15 and 2**16 gained under 1 ms).  From
-    N = 2**18 up the scratch, at most 25 bytes a knot, stays under 10% of
-    the table (at least 4 bytes a bucket, and R >= N)."""
+    """Knots per chunk of the initial guess and the table fill over n
+    intervals: n / 64 within [``_CHUNK``, 2**14].  Each chunk pays numpy's
+    per-call costs: at N = 2**20 float32 the K fill took 12.4 ms in chunks
+    of 2**12 and 8.1 ms in chunks of 2**14 (2**15 and 2**16 gained under 1
+    ms).  From N = 2**18 up the scratch, at most 25 bytes a knot, stays
+    under 10% of the table (at least 4 bytes a bucket, and R >= N)."""
     return min(max(n >> 6, _CHUNK), 1 << 14)
-
-
-def _window(n: int) -> int:
-    """Pairs per certification window over n intervals: the fill's chunk,
-    at least ``_WINDOW``.  At N = 2**20 float32, windows of 2**14 took the
-    initial guess 0.67 ms and certification 1.46 ms (1.07 and 2.05 ms over
-    2**13)."""
-    return max(_WINDOW, _chunk(n))
 
 
 def _max_buckets(n: int) -> int:
@@ -134,7 +120,7 @@ def closed_form_h_r(p: SortedPartition, q: int = 1) -> tuple[float, int]:
     """
     xs = p.values.astype(np.float64)
     span = float(xs[-1] - xs[0])
-    basis = min(q, p.n_intervals)  # as in compute_h_r: q > N is vacuous
+    basis = min(q, p.n_intervals)  # as in _initial_h: q > N is vacuous
     r = 1 + ceil(span / float((xs[basis:] - xs[:-basis]).min()))
     return r / span, r
 
@@ -146,32 +132,15 @@ def _floors(x, x0, h, out):
     return np.floor(out, out=out)
 
 
-def separates(xs: np.ndarray, h, q: int = 1) -> bool:
-    """Whether floor(h * D_i) > floor(h * D_{i-q}) for every i >= q, in the
-    knots' precision, where D_i = X_i - X_0 (vacuous for q > N).  A NaN or
-    overflowed product fails the comparison without a warning."""
-    n, x0 = len(xs) - 1, xs[0]
-    window = _window(n)
-    off = np.empty(min(window, n) + q, dtype=xs.dtype)
-    hit = np.empty(min(window, n), dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(q, n + 1, window):
-            b = min(a + window, n + 1)
-            f = _floors(xs[a - q : b], x0, h, off[: b - a + q])
-            if not np.greater(f[q:], f[:-q], out=hit[: b - a]).all():
-                return False
-    return True
-
-
 def _initial_h(xs: np.ndarray, q: int):
-    """The initial guess (H0, R0) and the span X_N - X_0, in the knots'
-    precision, for both ``compute_h_r`` and ``build``.
+    """The initial guess (H0, R0) and the span X_N - X_0 of ``build``, in
+    the knots' precision.
 
     H0 is the rounded reciprocal of the smallest rounded gap-q offset step
     and R0 = floor(H0 * span).  Raises NotDistinguishable when two gap-q
     offsets round to the same value and Overflow when H0's table would
-    exceed ``_max_buckets(N)``.  The knots are walked in windows of
-    ``_window(N)`` pairs that overlap by q knots, so the position an error
+    exceed ``_max_buckets(N)``.  The knots are walked in pieces of
+    ``_chunk(N)`` pairs that overlap by q knots, so the position an error
     reports is that of a whole-array pass.
     """
     n = len(xs) - 1
@@ -180,14 +149,14 @@ def _initial_h(xs: np.ndarray, q: int):
     # For q > N the separation requirement is vacuous; base the initial
     # guess on the widest available stride so the bucket count stays small.
     basis = min(q, n)
-    window = _window(n)
-    width = min(window, n + 1 - basis)
+    chunk = _chunk(n)
+    width = min(chunk, n + 1 - basis)
     off = np.empty(width + basis, dtype=xs.dtype)
     step = np.empty(width, dtype=xs.dtype)
 
     smallest = scalar(np.inf)
-    for a in range(basis, n + 1, window):
-        b = min(a + window, n + 1)
+    for a in range(basis, n + 1, chunk):
+        b = min(a + chunk, n + 1)
         o = np.subtract(xs[a - basis : b], x0, out=off[: b - a + basis])
         low = np.subtract(o[basis:], o[:-basis], out=step[: b - a]).min()
         # Offsets never decrease, so a step that is not positive is a
@@ -210,45 +179,6 @@ def _buckets(h, span, n: int) -> int:
         if not float(h * span) < limit:
             raise Overflow(float(np.floor(h * span)) + 1, limit, n)
         return int(np.floor(h * span))
-
-
-def compute_h_r(p: SortedPartition, q: int = 1):
-    """Certified scale factor and bucket count for a direct index.
-
-    Returns ``(h, r, HGrowthStats)``.  All arithmetic runs in the
-    partition's precision, matching what the search kernel will execute.
-    Raises NotDistinguishable when two gap-q offsets round to the same
-    value and Overflow when its R + 1 buckets would exceed
-    ``_max_buckets(N)``, before anything R-sized is allocated.
-
-    The initial guess comes from ``_initial_h``; when ``separates`` refuses
-    it, ``_grow`` takes over, so the returned H satisfies the separation
-    property for every pair.
-    """
-    if q < 1:
-        raise ValueError("gap must be >= 1")
-    h, r, span = _initial_h(p.values, q)
-    if separates(p.values, h, q):
-        return h, r, HGrowthStats(0)
-    return _grow(p.values, h, span, q)
-
-
-def _grow(xs: np.ndarray, h, span, q: int):
-    """Grow an h that fails to separate the knots at gap q until it does:
-    by an increment that starts at one ulp of h and doubles on every
-    failure, re-certifying the whole array by ``separates`` after each
-    step.  Returns ``(h, r, HGrowthStats)``; raises Overflow once R + 1
-    would exceed ``_max_buckets(N)``.  ``compute_h_r`` and ``build`` share
-    it, so both give the same h bit for bit."""
-    n = len(xs) - 1
-    limit = _max_buckets(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        step = np.nextafter(h, xs.dtype.type(np.inf)) - h
-        h, increments = h + step, 1
-        while float(h * span) < limit and not separates(xs, h, q):
-            step = step + step
-            h, increments = h + step, increments + 1
-    return h, _buckets(h, span, n), HGrowthStats(increments)
 
 
 def _fill_table(table: np.ndarray, xs: np.ndarray, h, q: int) -> bool:
@@ -375,9 +305,9 @@ def build_index(
     X_K; the returned index's ``k`` is then None.  h is kept in the knots'
     precision.
 
-    Raises ValueError for an h that precision cannot hold exactly, for a
-    gap below 1, for r other than f(X_N) and, at gap 1, for f(X_{N-1}) not
-    below r, and Overflow when R + 1 exceeds ``_max_buckets(N)``, all
+    Raises ValueError for an h that is not finite and positive or that
+    precision cannot hold exactly, for a gap below 1, for r other than
+    f(X_N) and, at gap 1, for f(X_{N-1}) not below r, and Overflow when R + 1 exceeds ``_max_buckets(N)``, all
     before allocating anything.  Raises ValueError("h does not separate
     the knots at gap q") after allocating K when a pair (i - q, i) shares a
     bucket.
@@ -392,6 +322,8 @@ def build_index(
     xs = p.values
     with np.errstate(over="ignore", invalid="ignore"):
         given, h = h, xs.dtype.type(h)
+        if not (isfinite(h) and h > 0):
+            raise ValueError(f"h = {float(given)!r} is not a finite positive {p.precision} value")
         # numpy would compare a float32 with a Python float in float32.
         if float(h) != given:
             raise ValueError(f"h = {float(given)!r} is not a {p.precision} value")
@@ -417,23 +349,44 @@ def build_index(
 
 
 def build(p: SortedPartition, q: int = 1, fused: bool = False):
-    """One-call construction: what compute_h_r then build_index return.
+    """One-call construction: a certified scale factor H, its bucket count
+    R and the table ``build_index`` fills for them.
 
-    The table is first filled for the initial guess H0, which the fill
-    proves separating on the way; only when it refuses H0 does ``_grow``
-    walk from H0, as ``compute_h_r`` does, and the table is filled again.
+    The table is filled for the initial guess H0 of ``_initial_h``, and the
+    fill proves on the way that H separates the knots at gap q.  While it
+    refuses H, H grows by an increment that starts at one ulp of H0 and
+    doubles on every refusal, R follows, and the table is filled again;
+    each refused table is freed before the next is allocated.  Raises
+    NotDistinguishable when two gap-q offsets round to the same value and
+    Overflow once R + 1 would exceed ``_max_buckets(N)``, before that
+    table is allocated.
 
     Returns (DirectIndex, HGrowthStats).
     """
     if q < 1:
         raise ValueError("gap must be >= 1")
     h, r, span = _initial_h(p.values, q)
-    try:
-        return build_index(p, h, r, q=q, fused=fused), HGrowthStats(0)
-    except _NotSeparated:
-        pass  # leave the handler, so the refused table is freed first
-    h, r, stats = _grow(p.values, h, span, q)
-    return build_index(p, h, r, q=q, fused=fused), stats
+    increments = 0
+    while True:
+        try:
+            return build_index(p, h, r, q=q, fused=fused), HGrowthStats(increments)
+        except _NotSeparated:
+            pass  # leave the handler, so the refused table is freed first
+        with np.errstate(over="ignore", invalid="ignore"):
+            # The first increment is taken only on a refusal: numpy's first
+            # nextafter call grows the resident set by about 64 kB.
+            step = step + step if increments else np.nextafter(h, h.dtype.type(np.inf)) - h
+            h, increments = h + step, increments + 1
+        r = _buckets(h, span, p.n_intervals)
+
+
+def compute_h_r(p: SortedPartition, q: int = 1):
+    """Certified scale factor and bucket count for a direct index: the
+    ``(h, r, HGrowthStats)`` of ``build(p, q)``, whose table is dropped.
+    All arithmetic runs in the partition's precision, matching what the
+    search kernel will execute; it raises what ``build`` raises."""
+    idx, stats = build(p, q)
+    return idx.h, idx.r, stats
 
 
 def with_fused(idx: DirectIndex, p: SortedPartition) -> DirectIndex:
@@ -451,11 +404,16 @@ def direct_search(idx: DirectIndex, p: SortedPartition, z) -> int:
     t = K[f(z)] is corrected by comparing z against X_t .. X_{t-q+1}; a read
     below X_0 is clamped to X_0, as the gap kernels clamp it (z < X_0
     never holds, so a clamped read never changes the result).  A fused
-    index raises ValueError: its records hold the K of its plain twin.
+    index raises ValueError: its records hold the K of its plain twin.  So
+    does a partition whose N or X_0 is not the index's, or whose X_N puts z
+    past the index's last bucket.
     """
     if idx.k is None:
         raise ValueError("a fused index is searched through its plain twin, build(p)")
     check_domain(p, z)
+    j = int(idx.h * (idx.h.dtype.type(z) - idx.x0))
+    if p.n_intervals != idx.n or p.values[0] != idx.x0 or j > idx.r:
+        raise ValueError("partition does not match the index")
     xs = p.values
-    t = int(idx.k[int(idx.h * (idx.h.dtype.type(z) - idx.x0))])
+    t = int(idx.k[j])
     return t - sum(1 for m in range(idx.q) if z < xs[max(t - m, 0)])

@@ -11,9 +11,18 @@ from its schedules and tables (see :mod:`fastsearch.binsearch` and
 loops, read for read, and check the loops against the linear-scan
 oracle.  ``classic_seq`` stays in :mod:`fastsearch.binsearch`, since it
 is the classical kernel's scalar.
+
+``separates_seq`` and ``certify_seq`` are the direct index's separation
+condition and its certification of H, each as one pass over the whole
+array; the library proves separation in its chunked table fill instead.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+from fastsearch.direct import _max_buckets
+from fastsearch.errors import NotDistinguishable, Overflow
 
 
 def probe_constant(n: int) -> int:
@@ -124,3 +133,41 @@ def direct_cache_seq(k, v, h, x0, z) -> int:
     and the knot v[j] stored beside it, with no read of the knots."""
     j = int(h * (type(h)(z) - x0))
     return k[j] - (z < v[j])
+
+
+def separates_seq(xs, h, q: int) -> bool:
+    """Whether floor(h * D_i) > floor(h * D_{i-q}) for every i >= q, in the
+    knots' precision, where D_i = X_i - X_0 (vacuous for q > N).  A NaN or
+    overflowed product fails the comparison without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.floor(xs.dtype.type(h) * (xs - xs[0]))
+        return bool((f[q:] > f[:-q]).all())
+
+
+def certify_seq(xs, q: int):
+    """The certified scale factor at gap q as ``(h, r, increments)``.
+
+    H0 is the rounded reciprocal of the smallest rounded gap-q offset step
+    (the widest step N for q > N).  While h does not separate the knots,
+    it grows by an increment that starts at one ulp of H0 and doubles on
+    every failure.  Raises NotDistinguishable at the first knot whose
+    gap-q offset step is not positive, and Overflow for the first h whose
+    R + 1 = floor(h * span) + 1 exceeds ``_max_buckets(N)``.
+    """
+    n = len(xs) - 1
+    one = xs.dtype.type
+    basis = min(q, n)
+    off = xs - xs[0]
+    step = off[basis:] - off[:-basis]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if basis == q and not (step > 0).all():
+            raise NotDistinguishable(q + int(np.argmin(step > 0)))
+        h = one(1) / step.min()
+        grow, increments, limit = np.nextafter(h, one(np.inf)) - h, 0, _max_buckets(n)
+        while True:
+            last = h * off[-1]
+            if not float(last) < limit:
+                raise Overflow(float(np.floor(last)) + 1, limit, n)
+            if separates_seq(xs, h, q):
+                return h, int(np.floor(last)), increments
+            h, grow, increments = h + grow, grow + grow, increments + 1

@@ -22,7 +22,7 @@ from fastsearch.bench.harness import (
 )
 from fastsearch.bench.persist import load_index, save_index
 from fastsearch.bench.report import emit_report
-from fastsearch.direct import build, direct_search, separates
+from fastsearch.direct import build, direct_search
 from fastsearch.errors import (
     BadMagic,
     ChecksumMismatch,
@@ -33,6 +33,7 @@ from fastsearch.errors import (
 from fastsearch.partition import gen_uniform_gap_partition
 
 from helpers import random_queries
+from reference import separates_seq
 
 
 def tiny_throughput(**overrides):
@@ -665,7 +666,7 @@ class TestIndexCli:
         h = idx.h / 1.5
         f = np.floor(h * (p.values - p.values[0]))
         r = int(f[-1])
-        assert not separates(p.values, h, 1)
+        assert not separates_seq(p.values, h, 1)
         k = np.searchsorted(f, np.arange(r + 1), side="left").astype(np.uint32)
         assert k[0] == 0 and k[-1] == p.n_intervals
         out = tmp_path / "t.idx"

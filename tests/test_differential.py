@@ -15,17 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastsearch.batch import ALGORITHMS, prepare, run_batch
-from fastsearch.direct import build, build_index, compute_h_r
+from fastsearch.direct import HGrowthStats, build, build_index, compute_h_r
 from fastsearch.errors import InfeasibleError
 from fastsearch.partition import linear_scan_oracle_batch, validate_partition
 
 from helpers import boundary_probes, same_build
+from reference import certify_seq
 
 #: Gap of each direct kernel's table.
 GAP = {"direct": 1, "direct-gap2": 2, "direct-cache": 1}
 
 #: Direct kernels whose certified table would exceed this many entries are
-#: skipped, so that no example allocates a large table.
+#: skipped, so that no example allocates a large table: ``certify_seq``
+#: certifies H without building one.
 MAX_TABLE = 1 << 18
 
 
@@ -71,7 +73,7 @@ def test_every_kernel_matches_oracle(p, as_float64):
     queries = z.astype(np.float64) if as_float64 else z
     for name in ALGORITHMS:
         try:
-            if name in GAP and compute_h_r(p, q=GAP[name])[1] > MAX_TABLE:
+            if name in GAP and certify_seq(p.values, GAP[name])[1] > MAX_TABLE:
                 continue
             prep = prepare(name, p)
         except InfeasibleError:
@@ -84,17 +86,23 @@ def test_every_kernel_matches_oracle(p, as_float64):
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(p=adversarial_partitions(), q=st.integers(1, 3), fused=st.booleans())
 def test_build_is_compute_h_r_then_build_index(p, q, fused):
-    """build fills the table for the initial guess and grows H only when
-    the fill refuses it; it returns what compute_h_r then build_index
-    return, bit for bit, or raises what compute_h_r raises."""
+    """build fills the table for the initial guess and grows H only while
+    the fill refuses it; it returns, bit for bit, the h and r that the
+    whole-array ``certify_seq`` certifies and build_index's table for
+    them, or raises what ``certify_seq`` raises.  compute_h_r returns
+    build's h, r and growth count."""
     fused = fused and q == 1
     try:
-        h, r, stats = compute_h_r(p, q=q)
+        h, r, increments = certify_seq(p.values, q)
     except InfeasibleError as exc:
-        with pytest.raises(type(exc)) as got:
-            build(p, q=q, fused=fused)
-        assert str(got.value) == str(exc)
+        for call in (lambda: build(p, q=q, fused=fused), lambda: compute_h_r(p, q=q)):
+            with pytest.raises(type(exc)) as got:
+                call()
+            assert str(got.value) == str(exc)
         return
     if r > MAX_TABLE:
         return
+    stats = HGrowthStats(increments)
     assert same_build(build(p, q=q, fused=fused), build_index(p, h, r, q=q, fused=fused), stats)
+    got = compute_h_r(p, q=q)
+    assert got[0].tobytes() == h.tobytes() and got[1:] == (r, stats)

@@ -11,12 +11,12 @@ from fastsearch import direct
 from fastsearch.batch import prepare
 from fastsearch.bench.persist import load_index, save_index
 from fastsearch.direct import (
+    HGrowthStats,
     build,
     build_index,
     closed_form_h_r,
     compute_h_r,
     direct_search,
-    separates,
     with_fused,
 )
 from fastsearch.errors import NotDistinguishable, OutOfDomain, Overflow
@@ -28,6 +28,7 @@ from fastsearch.partition import (
 )
 
 from helpers import boundary_probes, random_queries, same_build
+from reference import certify_seq, separates_seq
 
 WORKED = [0.0, 0.5, 0.7, 1.1]
 
@@ -228,10 +229,10 @@ class TestBuildIndex:
         with pytest.raises(ValueError, match="h does not separate the knots at gap 1"):
             build_index(p, h, r, q=1)
         if div == 2:
-            assert separates(p.values, h, 2)
+            assert separates_seq(p.values, h, 2)
             assert build_index(p, h, r, q=2).k[-1] == p.n_intervals
         else:
-            assert not separates(p.values, h, 2)
+            assert not separates_seq(p.values, h, 2)
             with pytest.raises(ValueError, match="h does not separate the knots at gap 2"):
                 build_index(p, h, r, q=2)
 
@@ -265,6 +266,28 @@ class TestBuildIndex:
             tracemalloc.stop()
         assert peak < r, (peak, r)
 
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0])
+    def test_non_finite_or_non_positive_h_rejected(self, h, q):
+        """An h that is not finite and positive is refused by name, as
+        load_index refuses it in a file, before anything is allocated and
+        without a warning.  -1.0 with its own R = f(X_N) < 0 asked numpy
+        for a table of negative length.  The certified R's K would take
+        over 16 KiB."""
+        p = gen_uniform_gap_partition(16385, 1, 5, seed=3)
+        _, r, _ = compute_h_r(p, q=q)
+        assert 4 * r > 1 << 14
+        if h == -1.0:
+            r = int(np.floor(h * (p.values[-1] - p.values[0])))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^h = .* is not a finite positive double value$"):
+                build_index(p, h, r, q=q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 14, peak
+
 
 class TestSearchKernels:
     def test_worked_example_queries(self):
@@ -281,6 +304,26 @@ class TestSearchKernels:
             direct_search(idx, p, 1.1)
         with pytest.raises(OutOfDomain):
             direct_search(idx, p, -0.5)
+
+    def test_partition_not_the_index_refused(self):
+        """An index searched over a partition it was not built for raised a
+        bare IndexError for a bucket past its table; it raises ValueError
+        when N or X_0 differ, as ``index load --partition`` refuses them,
+        and when a longer X_N puts the query past the index's last bucket."""
+        p = gen_uniform_gap_partition(4097, 1, 5, seed=3)
+        z = random_queries(p, 100, seed=1)
+        longer = p.values.copy()
+        longer[-1] += 100.0
+        for built, searched in (
+            (p.values[:100], p.values),
+            (p.values + 1.0, p.values),
+            (p.values, longer),
+        ):
+            idx, _ = build(validate_partition(built))
+            with pytest.raises(ValueError, match="^partition does not match the index$"):
+                direct_search(idx, validate_partition(searched), searched[-1] - 1.0)
+        idx, _ = build(p)
+        assert [direct_search(idx, p, v) for v in z.tolist()] == linear_scan_oracle_batch(p, z).tolist()
 
     @pytest.mark.parametrize("precision", ["single", "double"])
     def test_exhaustive_small_sweep(self, precision):
@@ -378,7 +421,7 @@ class TestSearchKernels:
         h = idx.h * 0.7
         r = int(np.floor(h * (p.values[-1] - p.values[0])))
         bad = dataclasses.replace(idx, h=h, r=r)
-        assert not separates(p.values, h, 1)
+        assert not separates_seq(p.values, h, 1)
         with pytest.raises(ValueError, match="h does not separate the knots at gap 1"):
             with_fused(bad, p)
         want, _ = build(p, fused=True)
@@ -417,48 +460,79 @@ class TestBracketing:
 
 
 class TestSeparates:
-    """``separates`` is certification's separation walk, which the index
-    CLI also runs on a loaded H."""
+    """build_index refuses an h that does not separate the knots at gap q,
+    by the whole-array condition ``separates_seq``; that refusal is the
+    library's one separation proof, which certification and the index CLI
+    rely on."""
 
     @pytest.mark.parametrize("precision", ["single", "double"])
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_certified_h_separates(self, q, precision):
         p = gen_uniform_gap_partition(20_000, 1, 5, seed=q, precision=precision)
-        h, _, _ = compute_h_r(p, q=q)
-        assert separates(p.values, h, q)
-        assert not separates(p.values, h / 8, q)
+        h, r, _ = compute_h_r(p, q=q)
+        assert separates_seq(p.values, h, q)
+        assert build_index(p, h, r, q=q).k[-1] == p.n_intervals
+        h = h / 8
+        assert not separates_seq(p.values, h, q)
+        with pytest.raises(ValueError, match=f"^h does not separate the knots at gap {q}"):
+            build_index(p, h, int(np.floor(h * (p.values[-1] - p.values[0]))), q=q)
 
     def test_matches_a_pair_by_pair_check(self):
         p = gen_uniform_gap_partition(1025, 1, 5, seed=5)
         h, _, _ = compute_h_r(p)
-        f = np.floor(h / 1.5 * (p.values - p.values[0]))
+        h = h / 1.5
+        f = np.floor(h * (p.values - p.values[0]))
+        r = int(f[-1])
         assert not (f[1:] > f[:-1]).all()
-        assert not separates(p.values, h / 1.5, 1)
-        assert separates(p.values, h / 1.5, 2) == (f[2:] > f[:-2]).all()
+        with pytest.raises(ValueError, match="^h does not separate the knots at gap 1$"):
+            build_index(p, h, r)
+        assert (f[2:] > f[:-2]).all() and separates_seq(p.values, h, 2)
+        assert build_index(p, h, r, q=2).k[-1] == p.n_intervals
 
     def test_vacuous_past_n(self):
         p = validate_partition([0.0, 1.0, 2.0])
-        assert separates(p.values, 1e-9, 3)
-        assert not separates(p.values, 1e-9, 2)
+        assert build_index(p, 1e-9, 0, q=3).k.tolist() == [2]
+        with pytest.raises(ValueError, match="^h does not separate the knots at gap 2$"):
+            build_index(p, 1e-9, 0, q=2)
 
     @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -1.0, 1e308])
     def test_bad_h_fails_without_warning(self, h):
         """pytest turns warnings into errors, so a NaN or overflowing
-        product that warned would raise here."""
+        product that warned would raise here.  1e308 is finite and positive
+        but puts X_N past float64's range: its f(X_N) is no R."""
         p = validate_partition([0.0, 1.0, 2.0, 4.0])
-        assert not separates(p.values, h, 1)
+        assert not separates_seq(p.values, h, 1)
+        for q in (1, 2, 3):
+            with pytest.raises(ValueError, match="is not a finite positive|is not f"):
+                build_index(p, h, 4, q=q)
 
     def test_certification_calls_it(self, monkeypatch):
-        seen = []
+        """compute_h_r is build's certification: one initial guess and one
+        fill for an H0 that separates the knots, and that fill's h and r."""
+        guesses, fills = spy_construction(monkeypatch)
+        p = gen_uniform_gap_partition(300, 1, 5, seed=1)
+        h, r, stats = compute_h_r(p, q=2)
+        assert len(guesses) == 1 and fills == [(guesses[0][0], guesses[0][1], 2)]
+        assert (h, r, stats.increments) == (*fills[0][:2], 0) == certify_seq(p.values, 2)
 
-        def spy(xs, h, q=1):
-            seen.append((len(xs), q))
-            return real(xs, h, q)
 
-        real = direct.separates
-        monkeypatch.setattr(direct, "separates", spy)
-        compute_h_r(gen_uniform_gap_partition(300, 1, 5, seed=1), q=2)
-        assert seen and all(call == (300, 2) for call in seen)
+def spy_construction(monkeypatch):
+    """Record ``build``'s initial guesses (H0, R0, span) and the (h, r, q)
+    of every table fill it asks ``build_index`` for."""
+    guesses, fills = [], []
+
+    def initial_h(xs, q):
+        guesses.append(real_initial_h(xs, q))
+        return guesses[-1]
+
+    def fill(p, h, r, q=1, fused=False):
+        fills.append((h, r, q))
+        return real_build_index(p, h, r, q=q, fused=fused)
+
+    real_initial_h, real_build_index = direct._initial_h, direct.build_index
+    monkeypatch.setattr(direct, "_initial_h", initial_h)
+    monkeypatch.setattr(direct, "build_index", fill)
+    return guesses, fills
 
 
 def one_collision(n, q, c, precision):
@@ -474,8 +548,8 @@ def one_collision(n, q, c, precision):
 class TestSeparationInTheFill:
     """build_index proves separation from the floors its fill computes and
     returns no K for an h that fails it.  build fills the table for the
-    initial guess H0 first and walks ``separates`` only when the fill
-    refuses H0, ending with what compute_h_r and build_index give."""
+    initial guess H0 first and grows H only while the fill refuses it,
+    ending with the h and r of the whole-array ``certify_seq``."""
 
     C = direct._CHUNK
 
@@ -490,7 +564,7 @@ class TestSeparationInTheFill:
         h = compute_h_r(p, q=q)[0] * p.values.dtype.type(0.7)
         r = int(np.floor(h * (p.values[-1] - p.values[0])))
         f = np.floor(h * (p.values - p.values[0]))
-        assert not separates(p.values, h, q) and f[-2] < f[-1]
+        assert not separates_seq(p.values, h, q) and f[-2] < f[-1]
         for fused in (False, True) if q == 1 else (False,):
             with pytest.raises(ValueError, match=f"^h does not separate the knots at gap {q}$"):
                 build_index(p, h, r, q=q, fused=fused)
@@ -511,7 +585,7 @@ class TestSeparationInTheFill:
         h = p.values.dtype.type(0.5)
         f = np.floor(h * (p.values - p.values[0]))
         assert (np.flatnonzero(f[q:] <= f[:-q]) + q).tolist() == [c]
-        assert not separates(p.values, h, q)
+        assert not separates_seq(p.values, h, q)
         r = int(f[-1])
         with pytest.raises(ValueError, match=f"h does not separate the knots at gap {q}"):
             build_index(p, h, r, q=q)
@@ -521,73 +595,107 @@ class TestSeparationInTheFill:
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_build_walks_only_when_h0_fails(self, q, monkeypatch):
-        """build calls ``separates`` 0 times when H0 separates the knots;
-        it calls it when H0 needs growth, as compute_h_r does."""
-        calls = []
-
-        def spy(xs, h, q=1):
-            calls.append(q)
-            return real(xs, h, q)
-
-        real = direct.separates
-        monkeypatch.setattr(direct, "separates", spy)
+        """build makes one initial guess and one fill when H0 separates the
+        knots; when H0 needs growth, it fills once for H0 and once for each
+        grown H."""
+        guesses, fills = spy_construction(monkeypatch)
         for precision in ("single", "double"):
             p = gen_uniform_gap_partition(20_000, 1, 5, seed=q, precision=precision)
             for fused in (False, True) if q == 1 else (False,):
                 assert build(p, q=q, fused=fused)[1].increments == 0
-            assert calls == []
+                assert len(guesses) == len(fills) == 1
+                assert fills[0] == (guesses[0][0], guesses[0][1], q)
+                guesses.clear()
+                fills.clear()
             head = gen_uniform_gap_partition(
                 15, 1, 5, seed=GROWTH_SEEDS[precision, q], precision=precision
             )
-            assert build(head, q=q)[1].increments > 0
-            assert calls and set(calls) == {q}
-            calls.clear()
+            increments = build(head, q=q)[1].increments
+            assert increments > 0 and len(guesses) == 1
+            assert len(fills) == increments + 1 and {f[2] for f in fills} == {q}
+            guesses.clear()
+            fills.clear()
 
     @pytest.mark.parametrize("precision", ["single", "double"])
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_growth_starts_from_refused_h0(self, q, precision, monkeypatch):
         """When the fill refuses H0, build computes H0 once and grows H from
-        it: ``separates`` walks only the grown values, once each."""
-        guesses, walked = [], []
-
-        def initial_h(xs, q):
-            guesses.append(real_initial_h(xs, q))
-            return guesses[-1]
-
-        def walk(xs, h, q=1):
-            walked.append(h)
-            return real_separates(xs, h, q)
-
-        real_initial_h, real_separates = direct._initial_h, direct.separates
-        monkeypatch.setattr(direct, "_initial_h", initial_h)
-        monkeypatch.setattr(direct, "separates", walk)
+        it: each h is filled once, in strictly increasing order from H0,
+        ending at the h and r that ``certify_seq`` certifies."""
+        guesses, fills = spy_construction(monkeypatch)
         p = chunk_partition("growth", 3 * self.C + 7, precision, q)
         _, stats = build(p, q=q)
-        assert len(guesses) == 1
+        assert len(guesses) == 1 and fills[0][0] == guesses[0][0]
+        hs = [f[0] for f in fills]
+        assert stats.increments == len(hs) - 1 > 0
+        assert all(a < b for a, b in zip(hs, hs[1:]))
+        h, r, increments = certify_seq(p.values, q)
+        assert fills[-1][:2] == (h, r) and increments == stats.increments
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_growth_doubles_the_increment(self, precision, monkeypatch):
+        """Each refusal grows h by twice the last increment, starting at one
+        ulp of H0, and R follows h.  No partition found here needs more
+        than one increment, so the fill is made to refuse five times."""
+        guesses, fills = spy_construction(monkeypatch)
+        refusals = iter(range(5))
+
+        def fill(*args):
+            return next(refusals, None) is None and real_fill(*args)
+
+        real_fill = direct._fill_table
+        monkeypatch.setattr(direct, "_fill_table", fill)
+        p = gen_uniform_gap_partition(4097, 1, 5, seed=3, precision=precision)
+        assert build(p)[1].increments == 5
+        one = p.values.dtype.type
         h0 = guesses[0][0]
-        assert stats.increments == len(walked) > 0
-        assert all(h > h0 for h in walked)
+        hs = [f[0] for f in fills]
+        ulp = np.nextafter(h0, one(np.inf)) - h0
+        assert hs == [h0 + ulp * one(2**k - 1) for k in range(6)]
+        span = p.values[-1] - p.values[0]
+        assert [f[1] for f in fills] == [int(np.floor(h * span)) for h in hs]
 
     @pytest.mark.parametrize("precision", ["single", "double"])
     @pytest.mark.parametrize("q", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["head", "growth", "uniform", "shared"])
     def test_build_is_compute_h_r_then_build_index(self, kind, q, precision):
         """Bit for bit: h (type and bits), r, K or the records, and the
-        growth count, on the partitions whose certification grows H
-        (``TestComputeHR::test_growth_path_certifies``' among them) and on
-        the chunked-construction partitions."""
+        growth count are ``certify_seq``'s then build_index's, and
+        compute_h_r gives the same h, r and count, on the partitions whose
+        certification grows H (``TestComputeHR::test_growth_path_certifies``'
+        among them) and on the chunked-construction partitions."""
         if kind == "head":
             p = gen_uniform_gap_partition(
                 15, 1, 5, seed=GROWTH_SEEDS[precision, q], precision=precision
             )
         else:
             p = chunk_partition(kind, 3 * self.C + 7, precision, q)
-        h, r, stats = compute_h_r(p, q=q)
+        h, r, increments = certify_seq(p.values, q)
+        stats = HGrowthStats(increments)
         if kind in ("head", "growth"):
-            assert stats.increments > 0
+            assert increments > 0
+        got = compute_h_r(p, q=q)
+        assert got[0].tobytes() == h.tobytes() and got[1:] == (r, stats)
         for fused in (False, True) if q == 1 else (False,):
             want = build_index(p, h, r, q=q, fused=fused)
             assert same_build(build(p, q=q, fused=fused), want, stats)
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_growth_frees_the_refused_table(self, fused, precision):
+        """A refused table is freed before the grown H's is allocated, so
+        build's peak on a head that needs growth, extended to 2**16
+        intervals, stays within 1.15x the table it keeps."""
+        p = chunk_partition("growth", 1 << 16, precision, 1)
+        tracemalloc.start()
+        try:
+            idx, stats = build(p, fused=fused)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.increments > 0
+        kept = (idx.fused if fused else idx.k).nbytes
+        assert peak < 1.15 * kept, (peak, kept)
 
 
 class TestOverflowCounts:
@@ -749,24 +857,25 @@ def chunk_partition(kind, n, precision, q):
 
 
 class TestChunkedConstruction:
-    """Certification walks the knots in windows of direct._WINDOW pairs and
-    the table fill in chunks of direct._CHUNK knots; everything they
+    """The initial guess and the table fill walk the knots in chunks of
+    ``direct._chunk(N)`` knots, 4096 for every N here; everything they
     produce matches a whole-array pass."""
 
-    C, W = direct._CHUNK, direct._WINDOW
+    C = direct._chunk(1 << 16)
 
     @pytest.mark.parametrize("kind", ["uniform", "shared", "growth"])
     @pytest.mark.parametrize(
-        "n", [C - 1, C, C + 1, 3 * C + 7, W - 1, W, W + 1, 3 * W + 7]
+        "n", [C - 1, C, C + 1, 3 * C + 7, 2 * C - 1, 2 * C, 2 * C + 1, 6 * C + 7]
     )
     @pytest.mark.parametrize("q", [1, 2, 3])
     @pytest.mark.parametrize("precision", ["single", "double"])
     def test_tables_match_repeat_construction(self, kind, n, q, precision):
         p = chunk_partition(kind, n, precision, q)
-        h, r, stats = compute_h_r(p, q=q)
+        assert direct._chunk(n) == self.C
+        h, r, increments = certify_seq(p.values, q)
         want = repeat_table(p, h, r, q)
         if kind == "growth":
-            assert stats.increments > 0
+            assert increments > 0
         if kind == "shared" and q > 1:
             assert want[0] > 0  # several leading knots in bucket 0
         idx = build_index(p, h, r, q=q)
@@ -783,20 +892,21 @@ class TestChunkedConstruction:
     @pytest.mark.parametrize("q", [1, 2, 3])
     @pytest.mark.parametrize("side", [0, 1])
     def test_collision_across_chunk_edge(self, q, side):
-        """Pairs (i - q, i) are checked in windows of _WINDOW pairs from
-        i = q: a collision at the last pair of the first window or the
+        """The initial guess checks pairs (i - q, i) in pieces of C pairs
+        from i = q: a collision at the last pair of the first piece or the
         first of the second is reported where a whole-array check finds
         it, ahead of a later one."""
-        c = q + self.W - 1 + side
+        c = q + self.C - 1 + side
         # Offsets from X_0 = -1e9 are exact multiples of 64 in float32, so
         # knots that close together round onto one offset.
-        knots = 128.0 * np.arange(3 * self.W, dtype=np.float64)
+        knots = 128.0 * np.arange(3 * self.C, dtype=np.float64)
         knots[0] = -1e9
-        for at in (c, c + self.W + 5):
+        for at in (c, c + self.C + 5):
             knots[at - q + 1 : at + 1] = knots[at - q] + np.arange(1, q + 1)
         p = validate_partition(knots.astype(np.float32))
+        assert direct._chunk(p.n_intervals) == self.C
         off = p.values - p.values[0]
-        assert (np.flatnonzero(off[q:] == off[:-q]) + q).tolist() == [c, c + self.W + 5]
+        assert (np.flatnonzero(off[q:] == off[:-q]) + q).tolist() == [c, c + self.C + 5]
         with pytest.raises(NotDistinguishable) as exc:
             compute_h_r(p, q=q)
         assert exc.value.position == c

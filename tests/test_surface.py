@@ -66,13 +66,16 @@ SUMMED = ("values", "k", "fused", "tree")
 def test_perfbench_attributes(precision):
     """The library calls perfbench makes, on a small partition, give the
     attributes it reads; and no two of the arrays whose bytes it sums share
-    memory, so none is counted twice."""
+    memory, so none is counted twice.  The first calls replay its traced
+    layer probes: gap-1 and gap-2 certification, the K build and the fused
+    records."""
     fs = fastsearch
     p = fs.validate_partition(
         fs.gen_uniform_gap_partition(4097, 1, 5, seed=4, precision=precision).values
     )
     h, r, growth = fs.compute_h_r(p, q=1)
     assert isinstance(growth.increments, int)
+    assert fs.compute_h_r(p, q=2)[1] <= r
     idx = fs.build_index(p, h, r)
     fused = fs.with_fused(idx, p)
     assert idx.k.nbytes and fused.fused.nbytes and fused.k is None
