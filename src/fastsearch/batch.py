@@ -59,7 +59,7 @@ import numpy as np
 
 from . import binsearch, direct, eytzinger
 from .errors import OutOfDomain
-from .partition import SortedPartition, holds_reals, overflow_at, pad_right_pow2
+from .partition import SortedPartition, check_real_array, overflow_at, pad_right_pow2
 
 
 def _compile_kernel(lines, **bound) -> Callable:
@@ -295,9 +295,7 @@ def _build_direct(p: SortedPartition, q: int = 1, fused: bool = False):
     table = idx.fused if fused else idx.k
 
     def start(z, w, j, f, hit, e):
-        np.subtract(z, idx.x0, out=f)
-        np.multiply(f, idx.h, out=f)
-        j[:] = f  # the bucket, truncated as int() truncates
+        j[:] = direct.bucket_products(z, idx.x0, idx.h, f)  # truncated as int() truncates
         _take(table, j, e)
         if fused:
             np.less(z, e["val"], out=hit)
@@ -382,10 +380,7 @@ def run_batch(
     if threads < 1:
         raise ValueError("thread count must be >= 1")
     z = np.asarray(queries)
-    if not holds_reals(z):
-        raise ValueError(f"queries must be real numbers, got dtype {z.dtype}")
-    if z.ndim != 1:
-        raise ValueError(f"queries must be 1-D, got {z.ndim} dimensions")
+    check_real_array(z, "queries")
     xs = prepared.partition.values
     try:
         with np.errstate(over="ignore"):  # a float past float32's range: inf

@@ -20,8 +20,9 @@ fast scalar and lane kernels live in :mod:`fastsearch.batch`.
 Construction certifies the separation property directly in floating
 point: every truncated product pair floor(H*D_{i+q}) > floor(H*D_i)
 holds, where D_i is the rounded offset X_i - X_0.  :func:`build_index`
-proves it from the floors its table fill computes and refuses an H that
-fails it; that fill is the library's one separation proof.  So
+proves it from the buckets its table fill computes, as the lane kernels
+compute theirs (:func:`bucket_products`, truncated), and refuses an H
+that fails it; that fill is the library's one separation proof.  So
 :func:`build` fills the table for the rounded reciprocal H0 of the
 smallest rounded gap-q offset difference and, while the fill refuses H,
 grows H by exponentially doubling ulp-scale increments and fills again;
@@ -78,10 +79,6 @@ def _max_buckets(n: int) -> int:
     return min(1 << 32, max(1 << 22, 32 * (n + 1)))
 
 
-_TWO52 = 2.0 ** 52
-_TWO52_BITS = int(np.float64(_TWO52).view(np.int64))
-
-
 @dataclass(frozen=True)
 class HGrowthStats:
     """How often the scale factor grew past its initial guess."""
@@ -125,11 +122,10 @@ def closed_form_h_r(p: SortedPartition, q: int = 1) -> tuple[float, int]:
     return r / span, r
 
 
-def _floors(x, x0, h, out):
-    """floor(h * (x - x0)) in x's precision, written to ``out``."""
+def bucket_products(x, x0, h, out):
+    """h * (x - x0) in the knots' precision, written to ``out``."""
     np.subtract(x, x0, out=out)
-    np.multiply(out, h, out=out)
-    return np.floor(out, out=out)
+    return np.multiply(out, h, out=out)
 
 
 def _initial_h(xs: np.ndarray, q: int):
@@ -183,8 +179,8 @@ def _buckets(h, span, n: int) -> int:
 
 def _fill_table(table: np.ndarray, xs: np.ndarray, h, q: int) -> bool:
     """Write K into the zeroed ``table``, one chunk of ``_chunk(N)`` knots at
-    a time, and prove from the same floors that h separates the knots at
-    gap q.
+    a time, and prove from the same buckets, truncated as the kernels
+    truncate them, that h separates the knots at gap q.
 
     Each entry of K counts knots: at gap 1 (K_j = i exactly when f_{i-1} <
     j <= f_i) K_j = #{i : f_i < j}, and at gap q > 1 (K_j = max{i : f_i
@@ -222,17 +218,14 @@ def _fill_table(table: np.ndarray, xs: np.ndarray, h, q: int) -> bool:
     shift = int(q == 1)  # gap 1 reads knot i - 1 and adds past its bucket
     chunk = _chunk(n)
     width = min(chunk + q, n) + 1
-    # The buckets are whole numbers below 2**52, since a table that long
-    # could not be allocated.  Adding 2**52 to one in binary64 leaves it in
-    # the low bits, so the int64 buckets come out of the float64 view of
-    # the same buffer, and double precision needs no float buffer.  A
-    # plain K's running sum reuses the buffer, so it spans a chunk of K
-    # even where the knots are fewer.
+    # The products lie in [0, R + 1) (build_index checked h and f(X_N) = R),
+    # so truncating them into the int64 bucket buffer j floors them; double
+    # precision truncates in place, in j's float64 view.  A plain K's running
+    # sum reuses j, so it spans a chunk of K even where the knots are fewer.
     j = np.empty(max(width, min(chunk, len(k))), dtype=np.int64)
-    jf = j.view(np.float64)
-    if xs.dtype == jf.dtype:
-        f, hit = jf, np.empty(width, dtype=bool)
-    else:  # single: the floors are copied into j before pairs are compared
+    if xs.dtype == np.float64:
+        f, hit = j.view(np.float64), np.empty(width, dtype=bool)
+    else:  # single: the products are truncated into j before pairs are compared
         f = np.empty(width, dtype=xs.dtype)
         hit = f.view(bool)
     if fused:
@@ -247,13 +240,10 @@ def _fill_table(table: np.ndarray, xs: np.ndarray, h, q: int) -> bool:
         b = min(a + chunk, n + 1)
         lo, hi = max(a - q, 0), min(b, n) + 1 - shift  # the knots read
         e = hi - lo
-        _floors(xs[lo:hi], x0, h, f[:e])
-        if f is not jf:
-            jf[:e] = f[:e]
-        np.add(jf[:e], _TWO52 + shift, out=jf[:e])
-        np.subtract(j[:e], _TWO52_BITS, out=j[:e])
+        j[:e] = bucket_products(xs[lo:hi], x0, h, f[:e])  # the buckets
         adds = j[a - shift - lo : b - shift - lo]
         if shift:
+            np.add(j[:e], 1, out=j[:e])
             k[adds] = one  # knots that share a bucket leave K short
         else:
             s, t = max(a, q) - lo, b - lo  # the pairs' upper knots
@@ -297,7 +287,7 @@ def build_index(
     O(N + R): one bucket evaluation per knot, one write per table entry.
     K is allocated once, at its final size R + 1, and filled chunk by
     chunk from the knots (see ``_fill_table``), so the build allocates no
-    N- or R-sized temporary.  The fill proves separation from the floors
+    N- or R-sized temporary.  The fill proves separation from the buckets
     it computes, so no K is returned for an h that fails it.  With
     ``fused`` (gap 1 only) it allocates only the (index, knot value)
     records, aligned as a C struct (8 bytes in single precision, 16 in
@@ -307,10 +297,10 @@ def build_index(
 
     Raises ValueError for an h that is not finite and positive or that
     precision cannot hold exactly, for a gap below 1, for r other than
-    f(X_N) and, at gap 1, for f(X_{N-1}) not below r, and Overflow when R + 1 exceeds ``_max_buckets(N)``, all
-    before allocating anything.  Raises ValueError("h does not separate
-    the knots at gap q") after allocating K when a pair (i - q, i) shares a
-    bucket.
+    f(X_N) and, at gap 1, for f(X_{N-1}) not below r, and Overflow when
+    R + 1 exceeds ``_max_buckets(N)``, all before allocating anything.
+    Raises ValueError("h does not separate the knots at gap q") after
+    allocating K when a pair (i - q, i) shares a bucket.
     """
     n = p.n_intervals
     if q < 1:
@@ -327,7 +317,8 @@ def build_index(
         # numpy would compare a float32 with a Python float in float32.
         if float(h) != given:
             raise ValueError(f"h = {float(given)!r} is not a {p.precision} value")
-        last = _floors(xs[-2:], xs[0], h, np.empty(2, xs.dtype)).tolist()
+        # floor, not truncation: an overflowed product reads as inf.
+        last = np.floor(bucket_products(xs[-2:], xs[0], h, np.empty(2, xs.dtype))).tolist()
     if last[1] != r:
         raise ValueError(f"R = {r} is not f(X_N) = {last[1]:.0f} for this h")
     if q == 1 and last[0] >= r:
@@ -406,7 +397,7 @@ def direct_search(idx: DirectIndex, p: SortedPartition, z) -> int:
     never holds, so a clamped read never changes the result).  A fused
     index raises ValueError: its records hold the K of its plain twin.  So
     does a partition whose N or X_0 is not the index's, or whose X_N puts z
-    past the index's last bucket.
+    past the index's last bucket, and a z that is not one real number.
     """
     if idx.k is None:
         raise ValueError("a fused index is searched through its plain twin, build(p)")

@@ -13,6 +13,7 @@ concurrent readers.
 from __future__ import annotations
 
 import numbers
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,15 @@ def holds_reals(a: np.ndarray) -> bool:
     if a.dtype.kind == "O":
         return all(isinstance(v, (numbers.Real, np.bool_)) for v in a.flat)
     return a.dtype.kind in "biuf"
+
+
+def check_real_array(a: np.ndarray, what: str, error=ValueError) -> None:
+    """Raise ``error`` unless ``a``, named ``what`` in the message, is a 1-D
+    array of real numbers."""
+    if not holds_reals(a):
+        raise error(f"{what} must hold real numbers, got dtype {a.dtype}")
+    if a.ndim != 1:
+        raise error(f"{what} must be 1-D, got shape {a.shape}")
 
 
 def overflow_at(a: np.ndarray) -> int | None:
@@ -106,10 +116,7 @@ def validate_partition(raw, precision: str | None = None) -> SortedPartition:
         floats = isinstance(raw, np.ndarray) and raw.dtype in (np.float32, np.float64)
         precision = precision_of(raw.dtype) if floats else "double"
     raw = np.asarray(raw)  # no copy of an array
-    if not holds_reals(raw):
-        raise PartitionError(f"a partition must hold real numbers, got dtype {raw.dtype}")
-    if raw.ndim != 1:
-        raise PartitionError(f"a partition must be 1-D, got shape {raw.shape}")
+    check_real_array(raw, "a partition", PartitionError)
     try:
         with np.errstate(over="ignore"):  # a float past float32's range: inf
             values = np.array(raw, dtype=dtype_of(precision))  # copy: never alias caller data
@@ -179,9 +186,14 @@ def pad_right_pow2(p: SortedPartition) -> np.ndarray:
 
 
 def check_domain(p: SortedPartition, z) -> None:
-    """Raise OutOfDomain unless X_0 <= z < X_N."""
-    if not (p.values[0] <= z < p.values[-1]):
-        raise OutOfDomain(f"z={z!r} outside [{p.values[0]!r}, {p.values[-1]!r})")
+    """Raise ValueError naming the type of a z that is not one real number,
+    and OutOfDomain unless X_0 <= z < X_N; an int past the float range is outside."""
+    if np.ndim(z) or not holds_reals(np.asarray(z)):
+        raise ValueError(f"a query must be a real number, got {type(z).__name__}")
+    with suppress(OverflowError):  # a Python int too large for a float
+        if p.values[0] <= z < p.values[-1]:
+            return
+    raise OutOfDomain(f"z={z!r} outside [{p.values[0]!r}, {p.values[-1]!r})")
 
 
 def linear_scan_oracle(p: SortedPartition, z) -> int:
@@ -204,9 +216,10 @@ def linear_scan_oracle_batch(p: SortedPartition, z: np.ndarray) -> np.ndarray:
 
     Sorts the queries, then advances a single knot cursor across them, so it
     still inspects the knots strictly in sequence and shares no machinery
-    with the algorithms under test.
+    with the algorithms under test.  It compares the queries unconverted.
     """
     z = np.asarray(z)
+    check_real_array(z, "queries")
     bad = ~((z >= p.values[0]) & (z < p.values[-1]))  # also catches NaN
     if bad.any():
         raise OutOfDomain(position=int(np.argmax(bad)))

@@ -7,6 +7,18 @@ import numpy as np
 from fastsearch.partition import SortedPartition, gen_queries
 
 
+#: Batches that are not real numbers, by test id: ``run_batch`` and
+#: ``linear_scan_oracle_batch`` refuse each with a ValueError naming its dtype.
+NON_REAL_BATCHES = {
+    "complex": [3 + 1j],
+    "str": ["1.5", "2.5"],
+    "datetime64": np.array(["2000-01-01"], dtype="datetime64[D]"),
+    "object-str": np.array(["1.5", "2.5"], dtype=object),
+    "object-None": np.array([1.5, None], dtype=object),
+    "object-complex": np.array([1.5, 3 + 1j], dtype=object),
+}
+
+
 class CountingList:
     """List wrapper that records reads and rejects out-of-range indices.
 

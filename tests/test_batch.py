@@ -19,7 +19,7 @@ from fastsearch.partition import (
     validate_partition,
 )
 
-from helpers import CountingList, boundary_probes, random_queries
+from helpers import NON_REAL_BATCHES, CountingList, boundary_probes, random_queries
 from reference import (
     bitset1_seq,
     bitset2_seq,
@@ -298,18 +298,7 @@ class TestQueryConversion:
         got = run_batch(prepare(algorithm, p), z, d=d)
         assert got.tolist() == [0, p.n_intervals - 1] * 5
 
-    @pytest.mark.parametrize(
-        "queries",
-        [
-            [3 + 1j],
-            ["1.5", "2.5"],
-            np.array(["2000-01-01"], dtype="datetime64[D]"),
-            np.array(["1.5", "2.5"], dtype=object),
-            np.array([1.5, None], dtype=object),
-            np.array([1.5, 3 + 1j], dtype=object),
-        ],
-        ids=["complex", "str", "datetime64", "object-str", "object-None", "object-complex"],
-    )
+    @pytest.mark.parametrize("queries", NON_REAL_BATCHES.values(), ids=NON_REAL_BATCHES)
     @pytest.mark.parametrize("d", [1, 8])
     def test_non_real_queries_name_dtype(self, d, queries):
         """Queries that are not real numbers raise ValueError naming their

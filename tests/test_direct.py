@@ -974,3 +974,25 @@ class TestGrownChunk:
     @pytest.mark.parametrize("algorithm", ["direct", "direct-gap2", "direct-cache"])
     def test_setup_allocates_what_it_keeps(self, algorithm, precision):
         assert_setup_allocates_what_it_keeps(algorithm, self.N, precision)
+
+
+class TestCappedChunk:
+    """From N = 2**20, the bulk benchmark's shape, the fill's chunk is
+    capped at 2**14 knots, and the fill still builds the run-length K and
+    records."""
+
+    N = (1 << 20) + 1
+    C = direct._chunk(N)
+
+    def test_chunk_is_capped(self):
+        assert self.C == direct._chunk(16 * self.N) == 1 << 14 > TestGrownChunk.C
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_tables_match_repeat_construction(self, precision, q):
+        p = chunk_partition("uniform", self.N, precision, q)
+        h, r, _ = compute_h_r(p, q=q)
+        want = repeat_table(p, h, r, q)
+        assert build_index(p, h, r, q=q).k.tobytes() == want.tobytes()
+        if q == 1:
+            assert build_index(p, h, r, fused=True).fused.tobytes() == repeat_records(p, want)

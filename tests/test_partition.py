@@ -1,8 +1,10 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from fastsearch.direct import build, direct_search
 from fastsearch.errors import (
     NonFinite,
     NotStrictlyIncreasing,
@@ -19,7 +21,7 @@ from fastsearch.partition import (
     validate_partition,
 )
 
-from helpers import boundary_probes
+from helpers import NON_REAL_BATCHES, boundary_probes
 from reference import probe_constant
 
 
@@ -295,3 +297,77 @@ class TestOracle:
         with pytest.raises(OutOfDomain) as exc:
             linear_scan_oracle_batch(p, np.array([0.5, 1.5, 3.0, 0.2]))
         assert exc.value.position == 2
+
+
+def scalar_search(name, p):
+    """One of the two checked scalar searches over ``p``, as z -> answer."""
+    if name == "direct_search":
+        idx, _ = build(p)
+        return lambda z: direct_search(idx, p, z)
+    return lambda z: linear_scan_oracle(p, z)
+
+
+class TestQueryTypes:
+    """The checked scalar searches and the batch oracle take real numbers
+    only, as ``run_batch`` does, and put an int past the float range
+    outside the domain."""
+
+    @pytest.mark.parametrize(
+        "z",
+        [5 + 1j, np.complex64(3 + 1j), "1.5", np.datetime64("2000-01-01"), None, np.array([1.5])],
+        ids=["complex", "complex64", "str", "datetime64", "None", "array"],
+    )
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("name", ["linear_scan_oracle", "direct_search"])
+    def test_non_real_query_names_type(self, name, precision, z):
+        """numpy orders a complex value by its real part, so the oracle
+        answered 5 + 1j with the interval that holds 5."""
+        p = gen_uniform_gap_partition(257, 1, 5, seed=3, precision=precision)
+        search = scalar_search(name, p)
+        with pytest.raises(ValueError, match=f"got {type(z).__name__}$") as exc:
+            search(z)
+        assert not isinstance(exc.value, OutOfDomain)
+
+    @pytest.mark.parametrize("big", [10**400, -(10**400)], ids=["positive", "negative"])
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("name", ["linear_scan_oracle", "direct_search"])
+    def test_int_past_float_range_out_of_domain(self, name, precision, big):
+        p = gen_uniform_gap_partition(257, 1, 5, seed=3, precision=precision)
+        with pytest.raises(OutOfDomain):
+            scalar_search(name, p)(big)
+
+    @pytest.mark.parametrize("queries", NON_REAL_BATCHES.values(), ids=NON_REAL_BATCHES)
+    def test_batch_non_real_queries_name_dtype(self, queries):
+        p = gen_uniform_gap_partition(255, 1, 5, seed=2010)
+        dtype = np.asarray(queries).dtype
+        with pytest.raises(ValueError, match=re.escape(f"dtype {dtype}")) as exc:
+            linear_scan_oracle_batch(p, queries)
+        assert not isinstance(exc.value, OutOfDomain)
+
+    @pytest.mark.parametrize("queries", [np.float64(1.5), np.full((2, 2), 1.5)], ids=["0d", "2d"])
+    def test_batch_not_1d_rejected(self, queries):
+        p = gen_uniform_gap_partition(255, 1, 5, seed=2010)
+        shape = np.shape(queries)
+        with pytest.raises(ValueError, match=re.escape(f"queries must be 1-D, got shape {shape}")):
+            linear_scan_oracle_batch(p, queries)
+
+    @pytest.mark.parametrize("big", [10**400, -(10**400)], ids=["positive", "negative"])
+    def test_batch_int_past_float_range_out_of_domain(self, big):
+        p = gen_uniform_gap_partition(255, 1, 5, seed=2012)
+        for queries, position in (([big], 0), ([1.5, 2, big], 2)):
+            with pytest.raises(OutOfDomain) as exc:
+                linear_scan_oracle_batch(p, queries)
+            assert exc.value.position == position
+
+    def test_batch_answers_the_values_as_given(self):
+        """Object arrays of reals are answered, and a double query on a
+        single partition is compared unrounded: just below a knot it falls
+        in the interval before, where its float32 rounding would not."""
+        p = gen_uniform_gap_partition(255, 1, 5, seed=2011, precision="single")
+        below = np.nextafter(np.float64(p.values[5]), -np.inf)
+        assert np.float32(below) == p.values[5]
+        values = [1.5, 2, np.float32(2.5), np.float64(7.25), True, np.True_, 100, below]
+        want = [linear_scan_oracle(p, v) for v in values]
+        assert want[-1] == 4
+        for queries in (values, np.array(values, dtype=object)):
+            assert linear_scan_oracle_batch(p, queries).tolist() == want
