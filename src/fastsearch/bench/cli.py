@@ -15,9 +15,9 @@
 
 Partition files hold one value per line (blank lines and ``#`` comments
 ignored) and are validated on ingestion.  ``index load --partition``
-proves the index exact for the partition: ``build_index`` fills the table
-for the file's H, proving on the way that H separates the knots at its
-gap, and the file's K must be that table.
+proves the index exact for the partition with ``direct.verify_index``: a
+partition that is not the index's is a usage error, and an index that
+fails the proof a bad index file.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible-only sweep, 3 I/O error.
 """
@@ -30,9 +30,9 @@ import sys
 import numpy as np
 
 from ..batch import ALGORITHMS
-from ..direct import build, build_index
+from ..direct import build, verify_index
 from ..errors import IndexFileError, PartitionError
-from ..partition import validate_partition
+from ..partition import PRECISIONS, validate_partition
 from . import persist
 from .harness import run_setup_stats, run_throughput
 from .report import emit_report
@@ -81,7 +81,7 @@ def _build_bench_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", choices=("single", "double"), default="single")
+    common.add_argument("--precision", choices=PRECISIONS, default="single")
     common.add_argument("--seed", type=int, default=42)
     common.add_argument("--format", choices=("csv", "md"), default="csv")
     common.add_argument("--gap-lo", type=float, default=1.0)
@@ -159,7 +159,7 @@ def _build_index_parser() -> _Parser:
     sv = sub.add_parser("save", help="build an index from a partition file and save it")
     sv.add_argument("--path", required=True)
     sv.add_argument("--partition", required=True, help="file with one knot per line")
-    sv.add_argument("--precision", choices=("single", "double"), default="double")
+    sv.add_argument("--precision", choices=PRECISIONS, default="double")
     sv.add_argument("--gap", type=int, default=1)
 
     ld = sub.add_parser("load", help="load an index, print a summary, optionally verify")
@@ -193,20 +193,7 @@ def index_main(argv=None) -> int:
         idx = persist.load_index(args.path)
         print(_summarize(idx))
         if args.partition:
-            p = read_partition_file(args.partition, idx.precision)
-            if p.n_intervals != idx.n or p.values[0] != idx.x0:
-                print("index: error: partition does not match the index",
-                      file=sys.stderr)
-                return EXIT_USAGE
-            # build_index proves that H separates the knots as it fills the
-            # table, and refuses an R that is not f(X_N) or is past the limit.
-            try:
-                differ = build_index(p, idx.h, idx.r, idx.q).k != idx.k
-            except ValueError as exc:
-                raise IndexFileError(str(exc)) from None
-            if differ.any():
-                j = int(np.argmax(differ))
-                raise IndexFileError(f"K[{j}] = {idx.k[j]} is not the table built from h")
+            verify_index(idx, read_partition_file(args.partition, idx.precision))
             print("verified: h separates the knots and K is the table built from h")
         return EXIT_OK
     except PartitionError as exc:

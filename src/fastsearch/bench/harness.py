@@ -1,11 +1,11 @@
 """Throughput and setup-cost experiment drivers, and the rows they report.
 
-Throughput methodology: per configuration the kernel output is first
-verified against the linear-scan oracle (timing never assumes
-correctness), one warm-up pass runs untimed, the pass count per
-measurement is scaled so each measurement spans at least ``min_time``
-seconds on the monotonic clock, and the reported figure is the median
-over the requested repetitions, converted to million searches per
+Throughput methodology: per (precision, size) each configuration's output
+is first verified against the linear-scan oracle (timing never assumes
+correctness), then runs one untimed warm-up pass; its pass count per
+measurement is scaled to span at least ``min_time`` seconds on the
+monotonic clock, each repetition times the configurations in turn, and
+the figure is the median of the repetitions in million searches per
 second.  Setup cost is excluded: structures are prepared before timing
 starts.  The timed queries are the array ``gen_queries`` returns, as is.
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import statistics
 import time
+import timeit
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,19 +84,16 @@ def _spread(values) -> tuple[float, float, float, float]:
     return float(a.mean()), float(a.min()), float(a.max()), float(a.std())
 
 
-def _measure(run, repetitions: int, min_time: float) -> float:
-    """Median seconds per pass, scaling passes to fill ``min_time`` each."""
-    t0 = time.perf_counter()
-    run()  # warm-up, also calibrates
-    once = time.perf_counter() - t0
-    inner = max(1, int(min_time / max(once, 1e-9)) + 1) if once < min_time else 1
-    samples = []
-    for _ in range(repetitions):
-        t0 = time.perf_counter()
-        for _ in range(inner):
-            run()
-        samples.append((time.perf_counter() - t0) / inner)
-    return statistics.median(samples)
+def _measure(runs, repetitions: int, min_time: float) -> list[float]:
+    """Median seconds per pass of each run, its passes scaled to fill
+    ``min_time`` per measurement.  Every repetition times the runs in turn,
+    so a burst of host load falls on all of them, not on one."""
+    # timeit turns the garbage collector off unless its set-up turns it on.
+    timers = [timeit.Timer(run, "gc.enable()") for run in runs]
+    once = [timer.timeit(1) for timer in timers]  # warm-up, also calibrates
+    inner = [int(min_time / max(t, 1e-9)) + 1 if t < min_time else 1 for t in once]
+    samples = [[timer.timeit(n) / n for timer, n in zip(timers, inner)] for _ in range(repetitions)]
+    return [statistics.median(taken) for taken in zip(*samples)]
 
 
 def run_throughput(
@@ -135,6 +133,7 @@ def run_throughput(
             z = gen_queries(p, queries, int(query_seed))
             expected = linear_scan_oracle_batch(p, z)
             out = np.empty(queries, dtype=np.int64)
+            timed = []  # (algorithm, d, pass) of each gated configuration
             for algorithm in algorithms:
                 try:
                     prep = prepare(algorithm, p)
@@ -146,8 +145,7 @@ def run_throughput(
                     def run_pass(prep=prep, d=d):
                         run_batch(prep, z, d=d, threads=threads, out=out)
 
-                    # Validity gate: check the kernel against the oracle
-                    # once per configuration before any timing.
+                    # Validity gate: the oracle's answers, before any timing.
                     run_pass()
                     wrong = np.flatnonzero(out != expected)
                     if len(wrong):
@@ -157,10 +155,11 @@ def run_throughput(
                             f"{len(wrong)} outputs disagree with the oracle, first "
                             f"query {j} (z={z[j]}): got {out[j]}, want {expected[j]}"
                         )
-                    per_pass = _measure(run_pass, repetitions, min_time)
-                    msps = queries / per_pass / 1e6
-                    rows.append(ThroughputRow(algorithm, precision, d, size, msps,
-                                              queries, repetitions))
+                    timed.append((algorithm, d, run_pass))
+            per_pass = _measure([run for _, _, run in timed], repetitions, min_time)
+            for (algorithm, d, _), seconds in zip(timed, per_pass):
+                rows.append(ThroughputRow(algorithm, precision, d, size,
+                                          queries / seconds / 1e6, queries, repetitions))
     return ThroughputReport(rows=rows, skipped=skipped)
 
 

@@ -48,14 +48,13 @@ from ..errors import (
     TruncatedFile,
     VersionMismatch,
 )
-from ..partition import dtype_of
+from ..partition import PRECISIONS, dtype_of
 
 MAGIC = b"FBSIDX1\0"
 VERSION = 1
 
 #: H and X0 are packed as binary64, which writes their exact bit patterns.
 _HEADER = struct.Struct("<8sHBBB3sQQdd")
-_PRECISIONS = ("single", "double")  # indexed by the precision byte
 
 
 def save_index(idx: DirectIndex, path) -> int:
@@ -69,7 +68,7 @@ def save_index(idx: DirectIndex, path) -> int:
     header = _HEADER.pack(
         MAGIC,
         VERSION,
-        _PRECISIONS.index(idx.precision),
+        PRECISIONS.index(idx.precision),
         32,  # qbits: K entries are 32-bit
         idx.q,
         b"\0\0\0",
@@ -107,9 +106,9 @@ def load_index(path) -> DirectIndex:
             raise VersionMismatch(
                 f"{path}: format version {version}, expected {VERSION}"
             )
-        if prec_code >= len(_PRECISIONS) or qbits not in (32, 64) or gap < 1:
+        if prec_code >= len(PRECISIONS) or qbits not in (32, 64) or gap < 1:
             raise VersionMismatch(f"{path}: unrecognized header fields")
-        precision = _PRECISIONS[prec_code]
+        precision = PRECISIONS[prec_code]
         dtype = dtype_of(precision).type
         with np.errstate(over="ignore"):  # a binary64 past float32's range: inf
             h, x0 = dtype(h64), dtype(x064)

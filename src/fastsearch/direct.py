@@ -22,14 +22,12 @@ point: every truncated product pair floor(H*D_{i+q}) > floor(H*D_i)
 holds, where D_i is the rounded offset X_i - X_0.  :func:`build_index`
 proves it from the buckets its table fill computes, as the lane kernels
 compute theirs (:func:`bucket_products`, truncated), and refuses an H
-that fails it; that fill is the library's one separation proof.  So
-:func:`build` fills the table for the rounded reciprocal H0 of the
-smallest rounded gap-q offset difference and, while the fill refuses H,
-grows H by exponentially doubling ulp-scale increments and fills again;
-:func:`compute_h_r` returns its H and R.  Arrays whose rounded offsets
-collide (NotDistinguishable) or whose table would hold more buckets than
-``_max_buckets(N)`` (Overflow) are rejected before that table is
-allocated.
+that fails it.  That fill is the library's one proof: :func:`build` fills
+for an initial guess H0 and grows H while the fill refuses it, and
+:func:`verify_index` proves a loaded index by requiring its K to be the
+fill.  Arrays whose rounded offsets collide (NotDistinguishable) or whose
+table would hold more buckets than ``_max_buckets(N)`` (Overflow) are
+rejected before that table is allocated.
 
 The initial guess and the table fill walk the knots in chunks of up to
 2**14 knots, sized by N, with scratch buffers allocated once per pass,
@@ -43,12 +41,13 @@ its plain twin.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import ceil, isfinite
 
 import numpy as np
 
-from .errors import NotDistinguishable, Overflow
+from .errors import IndexFileError, NotDistinguishable, Overflow
 from .partition import SortedPartition, check_domain, precision_of
 
 #: Table-entry width is fixed at 32-bit unsigned; construction refuses larger N.
@@ -295,14 +294,15 @@ def build_index(
     X_K; the returned index's ``k`` is then None.  h is kept in the knots'
     precision.
 
-    Raises ValueError for an h that is not finite and positive or that
-    precision cannot hold exactly, for a gap below 1, for r other than
-    f(X_N) and, at gap 1, for f(X_{N-1}) not below r, and Overflow when
-    R + 1 exceeds ``_max_buckets(N)``, all before allocating anything.
+    Raises TypeError for a q or r that is not an integer, ValueError for
+    an h that is not finite and positive or that precision cannot hold
+    exactly, for a gap below 1, for r other than f(X_N) and, at gap 1, for
+    f(X_{N-1}) not below r, and Overflow when R + 1 exceeds
+    ``_max_buckets(N)``, all before allocating anything.
     Raises ValueError("h does not separate the knots at gap q") after
     allocating K when a pair (i - q, i) shares a bucket.
     """
-    n = p.n_intervals
+    n, q, r = p.n_intervals, operator.index(q), operator.index(r)
     if q < 1:
         raise ValueError("gap must be >= 1")
     if n >= 2 ** 32:
@@ -354,6 +354,7 @@ def build(p: SortedPartition, q: int = 1, fused: bool = False):
 
     Returns (DirectIndex, HGrowthStats).
     """
+    q = operator.index(q)
     if q < 1:
         raise ValueError("gap must be >= 1")
     h, r, span = _initial_h(p.values, q)
@@ -408,3 +409,24 @@ def direct_search(idx: DirectIndex, p: SortedPartition, z) -> int:
     xs = p.values
     t = int(idx.k[j])
     return t - sum(1 for m in range(idx.q) if z < xs[max(t - m, 0)])
+
+
+def verify_index(idx: DirectIndex, p: SortedPartition) -> None:
+    """Prove a plain index exact for ``p``: K must be ``build_index``'s fill
+    for its (h, r, q), which proves that h separates the knots.  Raises
+    ValueError, before any table exists, for a fused index or a partition
+    whose precision, N or X_0 is not the index's; IndexFileError with the
+    fill's refusal, or naming the first K entry that is not the fill's."""
+    if idx.k is None:
+        raise ValueError("a fused index is proven through its plain twin, build(p)")
+    if p.precision != idx.precision or p.n_intervals != idx.n or p.values[0] != idx.x0:
+        raise ValueError("partition does not match the index")
+    try:
+        k = build_index(p, idx.h, idx.r, idx.q).k
+    except ValueError as exc:
+        raise IndexFileError(str(exc)) from None
+    step = _chunk(idx.n)  # compare chunk by chunk: no R-sized mask
+    for c in range(0, len(k), step):
+        if not np.array_equal(k[c : c + step], idx.k[c : c + step]):
+            j = c + int(np.argmax(k[c : c + step] != idx.k[c : c + step]))
+            raise IndexFileError(f"K[{j}] = {idx.k[j]} is not the table built from h")

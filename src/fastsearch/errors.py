@@ -82,7 +82,7 @@ class Overflow(InfeasibleError):
 
 
 class IndexFileError(Exception):
-    """Base class for index persistence failures."""
+    """Base class for index persistence failures; also an index that fails its proof."""
 
 
 class BadMagic(IndexFileError):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from fastsearch import batch
+from fastsearch.bench import harness
 from fastsearch.bench.cli import bench_main, index_main, read_partition_file
 from fastsearch.bench.harness import (
     SetupStatsRow,
@@ -334,6 +335,22 @@ class TestHarness:
             assert r.throughput_msps > 0
             assert r.queries == 500 and r.repetitions == 2 and r.size == 15
         assert rep.skipped == []
+
+    def test_repetitions_time_the_configurations_in_turn(self, monkeypatch):
+        """Every configuration of a size is gated, then warmed up, and each
+        repetition times them in turn, so that a burst of host load cannot
+        fall on one side of a ratio alone.  The rows keep their order."""
+        calls = []
+
+        def spy(prep, z, d, **kwargs):
+            calls.append((prep.algorithm, d))
+            return batch.run_batch(prep, z, d=d, **kwargs)
+
+        monkeypatch.setattr(harness, "run_batch", spy)
+        rep = tiny_throughput(repetitions=3, min_time=0)
+        configs = [("classic", 1), ("classic", 4), ("direct", 1), ("direct", 4)]
+        assert calls == configs * 5
+        assert [(r.algorithm, r.lane_width) for r in rep.rows] == configs
 
     def test_zero_repetitions_rejected(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastsearch.batch import ALGORITHMS, prepare, run_batch
-from fastsearch.direct import HGrowthStats, build, build_index, compute_h_r
+from fastsearch.bench.persist import load_index, save_index
+from fastsearch.direct import HGrowthStats, build, build_index, compute_h_r, verify_index
 from fastsearch.errors import InfeasibleError
 from fastsearch.partition import linear_scan_oracle_batch, validate_partition
 
@@ -106,3 +107,20 @@ def test_build_is_compute_h_r_then_build_index(p, q, fused):
     assert same_build(build(p, q=q, fused=fused), build_index(p, h, r, q=q, fused=fused), stats)
     got = compute_h_r(p, q=q)
     assert got[0].tobytes() == h.tobytes() and got[1:] == (r, stats)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(p=adversarial_partitions(), q=st.integers(1, 3))
+def test_verify_index_accepts_what_build_makes(p, q, tmp_path_factory):
+    """Every index that build makes passes ``verify_index``, before and
+    after a save/load round trip."""
+    try:
+        if certify_seq(p.values, q)[1] > MAX_TABLE:
+            return
+        idx, _ = build(p, q=q)
+    except InfeasibleError:
+        return
+    verify_index(idx, p)
+    path = tmp_path_factory.mktemp("verify") / "t.idx"
+    save_index(idx, path)
+    verify_index(load_index(path), p)

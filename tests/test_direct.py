@@ -17,17 +17,26 @@ from fastsearch.direct import (
     closed_form_h_r,
     compute_h_r,
     direct_search,
+    verify_index,
     with_fused,
 )
-from fastsearch.errors import NotDistinguishable, OutOfDomain, Overflow
+from fastsearch.errors import IndexFileError, NotDistinguishable, OutOfDomain, Overflow
 from fastsearch.partition import (
+    gen_queries,
     gen_uniform_gap_partition,
     linear_scan_oracle,
     linear_scan_oracle_batch,
     validate_partition,
 )
 
-from helpers import boundary_probes, random_queries, same_build
+from helpers import (
+    boundary_probes,
+    breakpoints,
+    direct_rule,
+    random_queries,
+    same_build,
+    true_answers,
+)
 from reference import certify_seq, separates_seq
 
 WORKED = [0.0, 0.5, 0.7, 1.1]
@@ -287,6 +296,38 @@ class TestBuildIndex:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 14, peak
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p, h, r: build_index(p, h, float(r)),
+            lambda p, h, r: build_index(p, h, r, q=1.0),
+            lambda p, h, r: build_index(p, h, r, q=2.5),
+            lambda p, h, r: build(p, q=1.0),
+        ],
+        ids=["build_index-r-float", "build_index-q-1.0", "build_index-q-2.5", "build-q-1.0"],
+    )
+    def test_non_integer_gap_or_r_rejected(self, call):
+        """A float gap or R is refused by ``operator.index`` before anything
+        is allocated.  It used to fail by accident: a float R in np.zeros,
+        q = 1.0 or 2.5 in slicing after K was allocated, and build's q = 1.0
+        inside the initial guess."""
+        p = gen_uniform_gap_partition(4097, 1, 5, seed=3)
+        h, r, _ = compute_h_r(p)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+                call(p, h, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < r, (peak, r)
+
+    def test_bool_gap_is_an_int(self):
+        """build(p, q=True) kept True as its gap, which ``index save``
+        printed as gap=True; it is the int 1."""
+        idx, _ = build(gen_uniform_gap_partition(257, 1, 5, seed=3), q=True)
+        assert type(idx.q) is int and idx.q == 1
 
 
 class TestSearchKernels:
@@ -996,3 +1037,139 @@ class TestCappedChunk:
         assert build_index(p, h, r, q=q).k.tobytes() == want.tobytes()
         if q == 1:
             assert build_index(p, h, r, fused=True).fused.tobytes() == repeat_records(p, want)
+
+
+def with_entry(idx, j, value):
+    """``idx`` with K_j set to ``value``."""
+    k = idx.k.copy()
+    k[j] = value
+    return dataclasses.replace(idx, k=k)
+
+
+class TestVerifyIndex:
+    """``verify_index`` proves a plain index exact for a partition: its K
+    must be the table ``build_index`` fills for its (h, r, q)."""
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_refuses_every_one_entry_change(self, q, precision):
+        """Every change of one K entry by +1 or -1, kept in [0, N], is
+        refused by name, although some of them change no answer: the proof
+        covers the table, not only the answers at the breakpoints."""
+        p = gen_uniform_gap_partition(16, 1, 5, seed=q, precision=precision)
+        idx, _ = build(p, q=q)
+        verify_index(idx, p)
+        z = breakpoints(p, idx)
+        harmless = 0
+        for j in range(idx.r + 1):
+            for value in (int(idx.k[j]) - 1, int(idx.k[j]) + 1):
+                if not 0 <= value <= idx.n:
+                    continue
+                changed = with_entry(idx, j, value)
+                with pytest.raises(
+                    IndexFileError, match=rf"^K\[{j}\] = {value} is not the table built from h$"
+                ):
+                    verify_index(changed, p)
+                harmless += np.array_equal(direct_rule(changed.k, p.values, idx, z), true_answers(p, z))
+        assert harmless > 0
+
+    def test_refuses_a_raised_entry_in_a_file(self, tmp_path):
+        """K[100] raised by 5, kept at or below N under a recomputed CRC,
+        loads, and ``direct_search`` then answers 27 of 20,000 queries
+        wrong; the proof names the entry."""
+        p = gen_uniform_gap_partition(257, 1, 5, seed=4)
+        path = tmp_path / "t.idx"
+        save_index(build(p)[0], path)
+        raw = bytearray(path.read_bytes())
+        k = np.frombuffer(raw, dtype="<u4", offset=48, count=(len(raw) - 52) // 4).copy()
+        k[100] += 5
+        assert k[100] <= p.n_intervals
+        raw[48:-4] = k.tobytes()
+        raw[-4:] = struct.pack("<I", zlib.crc32(k.tobytes()))
+        path.write_bytes(bytes(raw))
+        loaded = load_index(path)
+        z = gen_queries(p, 20000, seed=1)
+        answers = np.array([direct_search(loaded, p, v) for v in z.tolist()])
+        assert np.count_nonzero(answers != linear_scan_oracle_batch(p, z)) == 27
+        with pytest.raises(IndexFileError, match=rf"^K\[100\] = {k[100]} is not the table built from h$"):
+            verify_index(loaded, p)
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_refuses_a_fused_index_or_another_partition_before_any_table(self, precision):
+        """A fused index (prove its plain twin) and a partition of the other
+        precision, another N or another X_0 raise ValueError before a table
+        is allocated."""
+        p = gen_uniform_gap_partition(4097, 1, 5, seed=6, precision=precision)
+        idx, _ = build(p)
+        fused, _ = build(p, fused=True)
+        other = "double" if precision == "single" else "single"
+        cases = [
+            (fused, p, "^a fused index is proven through its plain twin"),
+            (idx, validate_partition(p.values, other), "^partition does not match the index$"),
+            (idx, validate_partition(p.values[:-1]), "^partition does not match the index$"),
+            (idx, validate_partition(p.values + 1), "^partition does not match the index$"),
+        ]
+        tracemalloc.start()
+        try:
+            for index, partition, message in cases:
+                with pytest.raises(ValueError, match=message):
+                    verify_index(index, partition)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < idx.r, (peak, idx.r)
+
+    def test_refusals_of_the_fill_carry_its_message(self):
+        """An (h, r) that ``build_index`` refuses is a bad index, with the
+        fill's own message: R past f(X_N), and an h that does not separate
+        the knots."""
+        p = gen_uniform_gap_partition(4097, 1, 5, seed=3)
+        idx, _ = build(p)
+        longer = dataclasses.replace(idx, r=idx.r + 1, k=np.append(idx.k, np.uint32(idx.n)))
+        with pytest.raises(IndexFileError, match=rf"^R = {idx.r + 1} is not f\(X_N\) = {idx.r} "):
+            verify_index(longer, p)
+        h = idx.h * 0.7
+        r = int(np.floor(h * (p.values[-1] - p.values[0])))
+        with pytest.raises(IndexFileError, match="^h does not separate the knots at gap 1$"):
+            verify_index(dataclasses.replace(idx, h=h, r=r, k=idx.k[: r + 1]), p)
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_peak_is_the_fill(self, precision):
+        """Beside the fill's own K, the proof allocates nothing R-sized."""
+        p = gen_uniform_gap_partition((1 << 16) + 1, 1, 5, seed=91, precision=precision)
+        idx, _ = build(p)
+        tracemalloc.start()
+        try:
+            verify_index(idx, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * idx.k.nbytes, (peak, idx.k.nbytes)
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_one_ulp_h_accepted_exactly_when_its_fill_is_k(self, q, precision):
+        """An h one ulp from the certified one, with R and K kept, is
+        accepted exactly when ``build_index`` fills the same K for it; the
+        fill then proves that h separates the knots, and ``direct_search``
+        with that h is right at every breakpoint.  Most such changes fill
+        the same K, so they are exact for their h, not rejected."""
+        accepted = 0
+        for seed in range(20):
+            p = gen_uniform_gap_partition(41 + 2 * seed, 1, 5, seed=seed, precision=precision)
+            idx, _ = build(p, q=q)
+            for toward in (np.inf, -np.inf):
+                changed = dataclasses.replace(idx, h=np.nextafter(idx.h, idx.h.dtype.type(toward)))
+                try:
+                    fill = build_index(p, changed.h, idx.r, q=q).k
+                except ValueError:
+                    fill = None
+                if fill is None or fill.tobytes() != idx.k.tobytes():
+                    with pytest.raises(IndexFileError):
+                        verify_index(changed, p)
+                    continue
+                verify_index(changed, p)
+                accepted += 1
+                z = breakpoints(p, changed)
+                assert [direct_search(changed, p, v) for v in z] == true_answers(p, z).tolist()
+        assert accepted > 0
