@@ -86,8 +86,8 @@ def _compile_kernel(lines, **bound) -> Callable:
 #: Queries per lane block, chosen by a sweep over 2**12 .. 2**16 on the
 #: benchmark's three workload shapes (table in CHANGES.md).  The direct
 #: lanes ran within a few percent of each other from 2**13 up; the
-#: 21-level eytzinger lanes were slowest at 2**12, where per-block call
-#: overhead shows, and at 2**16.
+#: eytzinger lanes (then 21 levels) were slowest at 2**12, where per-block
+#: call overhead shows, and at 2**16.
 _BLOCK = 1 << 14
 
 
@@ -245,18 +245,19 @@ def _build_offset(p: SortedPartition):
 def _build_eytzinger(p: SortedPartition):
     """The descent over the stored levels is the start; the L - top steps
     below it are bitset3's clamped schedule 2**(L - top - 1) .. 1 over the
-    knots (see :mod:`fastsearch.eytzinger`)."""
+    knots, and i ends as the count of splitters X_1 .. X_{N-1} <= z (see
+    :mod:`fastsearch.eytzinger`)."""
     lay, n = eytzinger.build_layout(p), p.n_intervals
     top, below = lay.top, lay.L - lay.top
     # 0-based descent: p <- 2p + 1 + [z >= tree[p]]; afterwards
     # p + 1 - 2**top is the node's offset in level top.
     head = ["p = 0", *["p = p + p + 1 + (z >= t[p])"] * top]
-    head.append(f"i = ((p + {1 - (1 << top)}) << {below}) - 1")
+    head.append(f"i = (p + {1 - (1 << top)}) << {below}")
 
     # w is the node's offset within its level: level l starts at slot
     # 2**l - 1, and the children of offset w are offsets 2w and 2w + 1.
     # Shifted below the stored levels, w is the in-order rank of the
-    # leftmost leaf under the node, which is i + 1.
+    # leftmost leaf under the node, which is i; the lanes track i + 1.
     levels = [lay.tree[(1 << level) - 1 :] for level in range(top)]
 
     def start(z, w, r, v, hit, *_):
@@ -267,6 +268,7 @@ def _build_eytzinger(p: SortedPartition):
             np.add(w, w, out=w)
             np.add(w, hit, out=w)
         np.left_shift(w, below, out=w)
+        np.add(w, 1, out=w)
 
     steps = binsearch.bit_schedule((1 << below) - 1)
     test = f"z >= xs[r if r < {n} else {n}]"
@@ -367,12 +369,13 @@ def run_batch(
     ``queries`` is a 1-D array or sequence of real numbers.  It is converted
     once to the partition's dtype, and the answers are for those rounded
     values, independent of the lane width d and the thread count.
-    ``out``, when given, must be an int64 array with one entry per query;
-    otherwise a new one is returned.  Raises TypeError for a non-integer d
-    or thread count, ValueError for either below 1, for queries that are
-    not real or not 1-D and for a mis-sized or mis-typed ``out``, and
-    OutOfDomain identifying the first converted query outside [X_0, X_N)
-    or past the float range; nothing is written in those cases.
+    ``out``, when given, must be a writeable int64 array with one entry per
+    query; otherwise a new one is returned.  Raises TypeError for a
+    non-integer d or thread count, ValueError for either below 1, for
+    queries that are not real or not 1-D and for a mis-sized, mis-typed or
+    read-only ``out``, and OutOfDomain identifying the first converted
+    query outside [X_0, X_N) or past the float range; nothing is written
+    in those cases.
     """
     d, threads = operator.index(d), operator.index(threads)
     if d < 1:
@@ -388,8 +391,8 @@ def run_batch(
     except OverflowError:
         raise OutOfDomain(position=overflow_at(z)) from None
     m = len(z)
-    if out is not None and (out.shape != (m,) or out.dtype != np.int64):
-        raise ValueError("output array must be int64 with one entry per query")
+    if out is not None and (out.shape != (m,) or out.dtype != np.int64 or not out.flags.writeable):
+        raise ValueError("output array must be writeable int64 with one entry per query")
     # min and max propagate NaN, which fails both comparisons.
     if m and not (z.min() >= xs[0] and z.max() < xs[-1]):
         bad = ~((z >= xs[0]) & (z < xs[-1]))

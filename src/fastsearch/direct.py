@@ -92,7 +92,8 @@ class DirectIndex:
     ``k`` maps every bucket 0..r to a knot index (32-bit unsigned).  A
     fused index instead co-locates (index, knot value) records in
     ``fused`` for the cache-fused kernel and holds its table only there:
-    its ``k`` is None.
+    its ``k`` is None.  Raises ValueError for a ``k`` that is not 1-D
+    ``K_DTYPE`` or a table that does not hold R + 1 entries.
     """
 
     x0: np.floating
@@ -102,6 +103,13 @@ class DirectIndex:
     k: np.ndarray | None
     n: int
     fused: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        table = self.fused if self.k is None else self.k
+        if self.k is not None and getattr(self.k, "dtype", None) != K_DTYPE:
+            raise ValueError(f"K entries must be {np.dtype(K_DTYPE)}")
+        if table is not None and np.shape(table) != (self.r + 1,):
+            raise ValueError(f"need R + 1 = {self.r + 1} table entries, not {np.shape(table)}")
 
     @property
     def precision(self) -> str:

@@ -96,9 +96,11 @@ def offset_seq(xs, f: int, s: int, j: int, z) -> int:
 
 
 def eytzinger_seq(tree, xs, depth: int, z) -> int:
-    """Fixed-depth descent: the len(tree).bit_length() levels stored in
-    ``tree``, then the rest over the knots ``xs``, each read clamped to
-    X_N.  Both are any 0-based indexable sequences."""
+    """Fixed-depth descent over the splitters X_1 .. X_{N-1}: the
+    len(tree).bit_length() levels stored in ``tree``, then the rest over
+    the knots ``xs``, where the splitter at rank w + half - 1 is
+    X[min(w + half, N)].  Returns the count of splitters <= z.  Both are
+    any 0-based indexable sequences."""
     top = len(tree).bit_length()
     n = len(xs) - 1
     k = 1
@@ -107,9 +109,9 @@ def eytzinger_seq(tree, xs, depth: int, z) -> int:
     w = (k - (1 << top)) << (depth - top)
     for level in range(top, depth):
         half = 1 << (depth - level - 1)
-        if z >= xs[min(w + half - 1, n)]:
+        if z >= xs[min(w + half, n)]:
             w += half
-    return w - 1
+    return w
 
 
 def direct_seq(k, xs, h, x0, q: int, z) -> int:

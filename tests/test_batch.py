@@ -136,6 +136,16 @@ class TestBatchContract:
             with pytest.raises(ValueError):
                 run_batch(prep, z, d=1, out=out)
 
+    @pytest.mark.parametrize("d", [1, 8])
+    def test_read_only_output_refused(self, workload, d):
+        """A read-only ``out`` is refused by the ``out`` check, before any
+        lane block or scalar runs, not by numpy's first write."""
+        p, z, _ = workload
+        out = np.zeros(len(z), dtype=np.int64)
+        out.setflags(write=False)
+        with pytest.raises(ValueError, match="^output array must be writeable int64"):
+            run_batch(prepare("direct", p), z, d=d, out=out)
+
     def test_lane_width_validated(self, workload):
         p, z, _ = workload
         prep = prepare("direct", p)

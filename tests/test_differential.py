@@ -9,6 +9,11 @@ lane widths 1 and 8.  The examples are derandomized, so the test is
 deterministic.
 """
 
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,3 +129,29 @@ def test_verify_index_accepts_what_build_makes(p, q, tmp_path_factory):
     path = tmp_path_factory.mktemp("verify") / "t.idx"
     save_index(idx, path)
     verify_index(load_index(path), p)
+
+
+def test_a_failing_given_test_fails_alone(tmp_path):
+    """Under the project's warning filters, a failing @given test is one
+    failure and the tests after it still run: hypothesis's report hook
+    raises a DeprecationWarning from mypy_extensions, which the "error"
+    filter would turn into an INTERNALERROR (exit 3) that ends the run."""
+    (tmp_path / "test_given.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(database=None)
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 0
+
+        def test_runs_after():
+            pass
+    """))
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), str(tmp_path / "test_given.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 1, run.stdout[-2000:]
+    assert "1 failed, 1 passed" in run.stdout, run.stdout[-2000:]

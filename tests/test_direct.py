@@ -461,7 +461,7 @@ class TestSearchKernels:
         idx, _ = build(p)
         h = idx.h * 0.7
         r = int(np.floor(h * (p.values[-1] - p.values[0])))
-        bad = dataclasses.replace(idx, h=h, r=r)
+        bad = dataclasses.replace(idx, h=h, r=r, k=idx.k[: r + 1])
         assert not separates_seq(p.values, h, 1)
         with pytest.raises(ValueError, match="h does not separate the knots at gap 1"):
             with_fused(bad, p)
@@ -1173,3 +1173,56 @@ class TestVerifyIndex:
                 z = breakpoints(p, changed)
                 assert [direct_search(changed, p, v) for v in z] == true_answers(p, z).tolist()
         assert accepted > 0
+
+
+class TestTableShape:
+    """A ``DirectIndex`` holds exactly R + 1 table entries, K as 1-D
+    uint32: its constructor refuses any other table, so no consumer meets
+    one."""
+
+    MIS_SIZED = r"^need R \+ 1 = \d+ table entries, not \("
+
+    @staticmethod
+    def index():
+        p = gen_uniform_gap_partition(1000, 1, 5, seed=1)
+        return build(p)[0], p
+
+    def test_verify_index_never_meets_a_mis_sized_k(self):
+        """One entry short or one too many: numpy's broadcast error, or a
+        tail past a chunk boundary that the chunked compare never read."""
+        idx, p = self.index()
+        for k in (idx.k[:-1], np.append(idx.k, np.uint32(idx.n))):
+            with pytest.raises(ValueError, match=self.MIS_SIZED):
+                verify_index(dataclasses.replace(idx, k=k), p)
+
+    def test_direct_search_never_meets_a_short_k(self):
+        """A 10-entry K sent ``direct_search`` past its end (IndexError)."""
+        idx, p = self.index()
+        with pytest.raises(ValueError, match=self.MIS_SIZED):
+            direct_search(dataclasses.replace(idx, k=idx.k[:10]), p, p.values[-2])
+
+    def test_save_index_never_writes_a_short_k(self, tmp_path):
+        """A short K was written, and ``load_index`` then refused the file
+        as truncated."""
+        idx, _ = self.index()
+        path = tmp_path / "t.idx"
+        with pytest.raises(ValueError, match=self.MIS_SIZED):
+            save_index(dataclasses.replace(idx, k=idx.k[:-1]), path)
+        assert not path.exists()
+
+    def test_refuses_other_types_shapes_and_fused_lengths(self):
+        idx, p = self.index()
+        fused = with_fused(idx, p)
+        cases = [
+            (idx, {"k": idx.k.astype(np.int64)}, "^K entries must be uint32$"),
+            (idx, {"k": idx.k.tolist()}, "^K entries must be uint32$"),
+            (idx, {"k": idx.k[:, None]}, self.MIS_SIZED),
+            (idx, {"r": idx.r + 1}, self.MIS_SIZED),
+            (fused, {"fused": fused.fused[:-1]}, self.MIS_SIZED),
+            (fused, {"fused": fused.fused[None, :]}, self.MIS_SIZED),
+        ]
+        for index, change, message in cases:
+            with pytest.raises(ValueError, match=message):
+                dataclasses.replace(index, **change)
+        for index in (idx, fused):  # a built index passes its own check
+            dataclasses.replace(index)

@@ -35,10 +35,11 @@ def in_order(tree: np.ndarray) -> np.ndarray:
     return out
 
 
-def padded_knots(p, depth):
-    """The knots right-padded with copies of X_N to 2**depth - 1 ranks."""
+def padded_splitters(p, depth):
+    """The splitters X_1 .. X_{N-1} right-padded with copies of X_N to
+    2**depth - 1 ranks."""
     padded = np.full((1 << depth) - 1, p.values[-1], dtype=p.values.dtype)
-    padded[: p.n_intervals + 1] = p.values
+    padded[: p.n_intervals - 1] = p.values[1:-1]
     return padded
 
 
@@ -53,29 +54,34 @@ class TestLayout:
             assert len(lay.tree) == 2**top - 1, n
 
     def test_no_padding_when_tree_is_full(self):
-        # 63 knots fill a depth-6 tree; its 3 stored levels hold every 8th.
-        p = gen_uniform_gap_partition(63, 1, 5, seed=63)
+        # 65 knots, N = 64: the 63 splitters X_1 .. X_63 fill a depth-6
+        # tree; its 3 stored levels hold every 8th, X_8 .. X_56.
+        p = gen_uniform_gap_partition(65, 1, 5, seed=63)
         lay = build_layout(p)
         assert (lay.L, lay.top) == (6, 3)
         assert len(lay.tree) == 7
-        assert np.array_equal(in_order(lay.tree), p.values[7::8])
+        assert np.array_equal(in_order(lay.tree), p.values[8:-1:8])
+        assert np.count_nonzero(lay.tree == p.values[-1]) == 0
 
     def test_small_partitions_store_no_tree(self):
-        p = validate_partition([0.0, 1.0, 2.0])
-        lay = build_layout(p)
-        assert (lay.L, lay.top) == (2, 0)
-        assert len(lay.tree) == 0
+        for knots, depth in [([0.0, 1.0], 1), ([0.0, 1.0, 2.0], 1), ([0.0, 1.0, 2.0, 3.0], 2)]:
+            lay = build_layout(validate_partition(knots))
+            assert (lay.L, lay.top) == (depth, 0), knots
+            assert len(lay.tree) == 0
 
     def test_root_is_middle_of_full_tree(self):
-        p = gen_uniform_gap_partition(15, 1, 5, seed=15)
+        # 17 knots, N = 16: 15 splitters fill a depth-4 tree, whose root is
+        # the middle splitter X_8, the median knot.
+        p = gen_uniform_gap_partition(17, 1, 5, seed=15)
         lay = build_layout(p)
         assert (lay.L, lay.top) == (4, 1)
-        assert lay.tree[0] == np.sort(p.values)[7]  # 8th smallest
+        assert lay.tree[0] == np.sort(p.values)[8]  # 9th smallest
 
     def test_padding_copies_of_last_knot(self):
-        # 65 knots: depth 7, 4 stored levels over ranks 7, 15, .., 119, of
-        # which the 7 ranks 71 .. 119 lie past N = 64.
-        p = gen_uniform_gap_partition(65, 1, 5, seed=9)
+        # 66 knots, N = 65: depth 7, 4 stored levels over ranks 7, 15, ..,
+        # 119, of which the 7 ranks 71 .. 119 lie past the last splitter
+        # rank N - 2 = 63.
+        p = gen_uniform_gap_partition(66, 1, 5, seed=9)
         lay = build_layout(p)
         assert (lay.L, lay.top) == (7, 4)
         assert len(lay.tree) == 15
@@ -83,29 +89,47 @@ class TestLayout:
 
     @pytest.mark.parametrize("size", list(range(2, 40)) + [64, 100, 257, 1000])
     def test_in_order_reconstruction(self, size):
-        """Flattening the stored levels in order gives the padded knots at
-        stride 2**(L - top), bit-exact, in both precisions."""
+        """Flattening the stored levels in order gives the padded splitters
+        at stride 2**(L - top), bit-exact, in both precisions."""
         for precision in ("single", "double"):
             p = gen_uniform_gap_partition(size, 1, 5, seed=size, precision=precision)
             lay = build_layout(p)
             stride = 1 << (lay.L - lay.top)
-            want = padded_knots(p, lay.L)[stride - 1 :: stride]
+            want = padded_splitters(p, lay.L)[stride - 1 :: stride]
             assert in_order(lay.tree).tobytes() == want.tobytes(), precision
 
     def test_every_base_element_present_once(self):
-        """Every knot at a stored rank, X_N aside, sits in one slot."""
+        """Every interior knot at a stored rank sits in one slot, and the
+        full tree holds every interior knot once and never X_0."""
         p = gen_uniform_gap_partition(100, 1, 5, seed=2)
         lay = build_layout(p)
         stride = 1 << (lay.L - lay.top)
-        for v in p.values[stride - 1 : -1 : stride]:
+        for v in p.values[stride:-1:stride]:
             assert np.count_nonzero(lay.tree == v) == 1
+        assert np.count_nonzero(lay.tree == p.values[0]) == 0
+        full = rank_order_tree(p)
+        for v in p.values[1:-1]:
+            assert np.count_nonzero(full == v) == 1
+        assert np.count_nonzero(full == p.values[0]) == 0
 
     def test_depth_formula(self):
-        # smallest L with 2**L - 1 >= n + 1 knots
-        for n, depth in [(1, 2), (2, 2), (3, 3), (6, 3), (7, 4), (14, 4), (15, 5)]:
+        # smallest L >= 1 with 2**L - 1 >= n - 1 splitters
+        table = [(1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3), (9, 4), (16, 4), (17, 5)]
+        table += [(1 << 20, 20), ((1 << 20) + 1, 21)]
+        for n, depth in table:
             assert tree_depth(n) == depth
-            assert 2 ** depth - 1 >= n + 1
-            assert depth == 1 or 2 ** (depth - 1) - 1 < n + 1
+        for n in range(1, 4097):
+            depth = tree_depth(n)
+            assert 2 ** depth - 1 >= n - 1, n
+            assert depth == 1 or 2 ** (depth - 1) - 1 < n - 1, n
+
+    def test_bulk_shape_stores_17_levels(self):
+        """N = 2**20, double: 2**20 - 1 splitters fill a depth-20 tree, of
+        which 17 levels, 2**17 - 1 slots, are stored."""
+        p = gen_uniform_gap_partition((1 << 20) + 1, 1, 5, seed=20)
+        lay = build_layout(p)
+        assert (lay.L, lay.top) == (20, 17)
+        assert lay.tree.nbytes == 1_048_568
 
 
 def rank_order_tree(p):
@@ -113,10 +137,10 @@ def rank_order_tree(p):
     in-order rank, kept as an independent reference for build_layout.
 
     1-based slot q at level l = floor(log2 q) has in-order rank
-    (q - 2**l) * 2**(L - l) + 2**(L - l - 1) - 1 in the padded knots.
+    (q - 2**l) * 2**(L - l) + 2**(L - l - 1) - 1 in the padded splitters.
     """
     depth = tree_depth(p.n_intervals)
-    padded = padded_knots(p, depth)
+    padded = padded_splitters(p, depth)
     slots = np.arange(1, len(padded) + 1, dtype=np.int64)
     levels = np.frexp(slots.astype(np.float64))[1] - 1
     stride = np.int64(1) << (depth - levels)
@@ -134,8 +158,9 @@ class TestLevelCopies:
     @pytest.mark.parametrize("precision", ["single", "double"])
     def test_matches_rank_order_bit_for_bit(self, precision):
         """N = 1..70 and every N from 2**k - 2 to 2**k + 1 for k <= 12,
-        where the tree gains a level or fills up exactly: the stored slots
-        are the full tree's first 2**top - 1, bit for bit."""
+        where the tree fills up exactly (N = 2**k) or gains a level
+        (N = 2**k + 1): the stored slots are the full tree's first
+        2**top - 1, bit for bit."""
         for n in EDGE_SIZES:
             p = gen_uniform_gap_partition(n + 1, 1, 5, seed=n, precision=precision)
             lay = build_layout(p)
@@ -151,8 +176,8 @@ class TestLevelCopies:
 
     @pytest.mark.parametrize("precision", ["single", "double"])
     def test_tree_is_a_quarter_of_the_knots(self, precision):
-        """The full padded tree took 2**17 - 1 slots at N = 2**16, twice
-        the knots' bytes; its stored top is at most a quarter of them."""
+        """The full padded tree takes 2**16 - 1 slots at N = 2**16, as many
+        as the knots; its stored top is at most a quarter of them."""
         n = 1 << 16
         p = gen_uniform_gap_partition(n + 1, 1, 5, seed=87, precision=precision)
         tree = prepare("eytzinger", p).structure.tree
@@ -188,8 +213,9 @@ class TestSearch:
 
     @pytest.mark.parametrize("precision", ["single", "double"])
     def test_lanes_and_scalar_match_oracle_at_every_edge_size(self, precision):
-        """Trees with 0, 1 and 2 stored levels, and N + 1 at 2**k - 1, 2**k
-        and 2**k + 1, through the lanes (d = 8) and the scalar (d = 1)."""
+        """Trees with 0, 1 and 2 stored levels, and N - 1 at 2**k - 1 and
+        2**k, where the tree fills up and where it gains a level, through
+        the lanes (d = 8) and the scalar (d = 1)."""
         for n in EDGE_SIZES:
             p = gen_uniform_gap_partition(n + 1, 1, 5, seed=n, precision=precision)
             prep = prepare("eytzinger", p)
