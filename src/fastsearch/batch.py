@@ -59,7 +59,7 @@ import numpy as np
 
 from . import binsearch, direct, eytzinger
 from .errors import OutOfDomain
-from .partition import SortedPartition, check_real_array, overflow_at, pad_right_pow2
+from .partition import SortedPartition, check_real_array, overflow_at
 
 
 def _compile_kernel(lines, **bound) -> Callable:
@@ -225,9 +225,13 @@ def _build_bitset1(p: SortedPartition):
 
 
 def _build_bitset2(p: SortedPartition):
-    """Padded: every probe lands in the array padded with X_N."""
-    padded, bits = pad_right_pow2(p), binsearch.bit_schedule(p.n_intervals)
-    return _probe_kernel(padded, bits, "z >= xs[r]", padded)
+    """Padded: every probe lands in the scalar's knot list, padded with
+    X_N up to twice the leading probe.  The lanes read the knots, as
+    bitset1's do."""
+    bits = binsearch.bit_schedule(p.n_intervals)
+    padded = p.values.tolist()
+    padded += padded[-1:] * (2 * bits[0] - len(padded))
+    return _probe_kernel(p.values, bits, "z >= xs[r]", bits, xs=padded)
 
 
 def _build_bitset3(p: SortedPartition):
@@ -243,22 +247,19 @@ def _build_offset(p: SortedPartition):
 
 
 def _build_eytzinger(p: SortedPartition):
-    """The descent over the stored levels is the start; the L - top steps
-    below it are bitset3's clamped schedule 2**(L - top - 1) .. 1 over the
-    knots, and i ends as the count of splitters X_1 .. X_{N-1} <= z (see
-    :mod:`fastsearch.eytzinger`)."""
+    """The descent over the stored levels is the start, in level offsets
+    in both forms; the L - top steps below it are bitset3's clamped
+    schedule 2**(L - top - 1) .. 1 over the knots, and i ends as the count
+    of splitters X_1 .. X_{N-1} <= z (see :mod:`fastsearch.eytzinger`)."""
     lay, n = eytzinger.build_layout(p), p.n_intervals
     top, below = lay.top, lay.L - lay.top
-    # 0-based descent: p <- 2p + 1 + [z >= tree[p]]; afterwards
-    # p + 1 - 2**top is the node's offset in level top.
-    head = ["p = 0", *["p = p + p + 1 + (z >= t[p])"] * top]
-    head.append(f"i = (p + {1 - (1 << top)}) << {below}")
-
-    # w is the node's offset within its level: level l starts at slot
-    # 2**l - 1, and the children of offset w are offsets 2w and 2w + 1.
+    # w is the node's offset within its level l, which starts at slot
+    # 2**l - 1; the children of offset w are offsets 2w and 2w + 1.
     # Shifted below the stored levels, w is the in-order rank of the
     # leftmost leaf under the node, which is i; the lanes track i + 1.
-    levels = [lay.tree[(1 << level) - 1 :] for level in range(top)]
+    firsts = [(1 << level) - 1 for level in range(top)]
+    head = ["w = 0", *[f"w = w + w + (z >= t[w + {s}])" for s in firsts], f"i = w << {below}"]
+    levels = [lay.tree[s:] for s in firsts]
 
     def start(z, w, r, v, hit, *_):
         w[:] = 0
@@ -370,12 +371,13 @@ def run_batch(
     once to the partition's dtype, and the answers are for those rounded
     values, independent of the lane width d and the thread count.
     ``out``, when given, must be a writeable int64 array with one entry per
-    query; otherwise a new one is returned.  Raises TypeError for a
-    non-integer d or thread count, ValueError for either below 1, for
-    queries that are not real or not 1-D and for a mis-sized, mis-typed or
-    read-only ``out``, and OutOfDomain identifying the first converted
-    query outside [X_0, X_N) or past the float range; nothing is written
-    in those cases.
+    query, clear of the converted queries' memory, since the lanes keep
+    their state in it; otherwise a new one is returned.  Raises TypeError
+    for a non-integer d or thread count, ValueError for either below 1,
+    for queries that are not real or not 1-D and for a mis-sized,
+    mis-typed, read-only or overlapping ``out``, and OutOfDomain
+    identifying the first converted query outside [X_0, X_N) or past the
+    float range; nothing is written in those cases.
     """
     d, threads = operator.index(d), operator.index(threads)
     if d < 1:
@@ -391,8 +393,10 @@ def run_batch(
     except OverflowError:
         raise OutOfDomain(position=overflow_at(z)) from None
     m = len(z)
-    if out is not None and (out.shape != (m,) or out.dtype != np.int64 or not out.flags.writeable):
-        raise ValueError("output array must be writeable int64 with one entry per query")
+    if out is not None and (out.shape != (m,) or out.dtype != np.int64
+                            or not out.flags.writeable or np.may_share_memory(out, z)):
+        msg = "output array must be writeable int64 with one entry per query, clear of the queries"
+        raise ValueError(msg)
     # min and max propagate NaN, which fails both comparisons.
     if m and not (z.min() >= xs[0] and z.max() < xs[-1]):
         bad = ~((z >= xs[0]) & (z < xs[-1]))

@@ -20,6 +20,7 @@ the growth-loop increment count and nanoseconds divided by the array size.
 
 from __future__ import annotations
 
+import math
 import statistics
 import time
 import timeit
@@ -114,11 +115,15 @@ def run_throughput(
     Direct-family configurations whose construction is infeasible are
     recorded as skipped, never fatal.  Every configuration is checked
     against the oracle before timing; RuntimeError names its first miss.
+    ValueError refuses repetitions or queries below 1, an unknown
+    algorithm and a ``min_time`` that is not a finite number >= 0.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     if queries < 1:
         raise ValueError("queries must be >= 1")
+    if not 0 <= min_time < math.inf:  # also refuses NaN
+        raise ValueError("min_time must be finite and >= 0")
     unknown = set(algorithms) - set(ALGORITHMS)
     if unknown:
         raise ValueError(f"unknown algorithms: {sorted(unknown)}")

@@ -173,18 +173,6 @@ def gen_queries(p: SortedPartition, count: int, seed: int) -> np.ndarray:
     return _frozen(z)
 
 
-def pad_right_pow2(p: SortedPartition) -> np.ndarray:
-    """The knots right-padded with X_N up to length 2**(1 + floor(log2 N)),
-    read-only.  Every index below twice the leading probe of the
-    bit-setting searches is then in range, and the padding value X_N
-    compares greater than any valid query."""
-    n = p.n_intervals
-    bits = n.bit_length()  # 1 + floor(log2 N)
-    padded = np.full(1 << bits, p.values[-1], dtype=p.values.dtype)
-    padded[: n + 1] = p.values
-    return _frozen(padded)
-
-
 def check_domain(p: SortedPartition, z) -> None:
     """Raise ValueError naming the type of a z that is not one real number,
     and OutOfDomain unless X_0 <= z < X_N; an int past the float range is outside."""

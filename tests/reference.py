@@ -50,6 +50,18 @@ def bitset1_seq(xs, n: int, probe: int, z) -> int:
     return i
 
 
+def pad_right_pow2(p) -> np.ndarray:
+    """The knots of partition ``p`` right-padded with X_N up to length
+    2**(1 + floor(log2 N)), read-only: :func:`bitset2_seq`'s input.  Every
+    index below twice the leading probe is then in range, and the padding
+    value X_N compares greater than any valid query."""
+    n = p.n_intervals
+    padded = np.full(1 << n.bit_length(), p.values[-1], dtype=p.values.dtype)
+    padded[: n + 1] = p.values
+    padded.setflags(write=False)
+    return padded
+
+
 def bitset2_seq(padded, probe: int, z) -> int:
     """Unguarded bit-setting search over a right-padded array.
 

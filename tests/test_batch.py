@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import re
+import sys
 import tracemalloc
 import weakref
 from types import SimpleNamespace
@@ -10,12 +11,12 @@ import pytest
 
 from fastsearch import batch, direct, eytzinger
 from fastsearch.batch import ALGORITHMS, prepare, run_batch
+from fastsearch.binsearch import bit_schedule
 from fastsearch.errors import OutOfDomain
 from fastsearch.partition import (
     gen_uniform_gap_partition,
     linear_scan_oracle,
     linear_scan_oracle_batch,
-    pad_right_pow2,
     validate_partition,
 )
 
@@ -29,6 +30,7 @@ from reference import (
     eytzinger_seq,
     offset_constants,
     offset_seq,
+    pad_right_pow2,
     probe_constant,
 )
 
@@ -145,6 +147,37 @@ class TestBatchContract:
         out.setflags(write=False)
         with pytest.raises(ValueError, match="^output array must be writeable int64"):
             run_batch(prepare("direct", p), z, d=d, out=out)
+
+    @pytest.mark.parametrize("d", [1, 8])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_output_over_the_queries_refused(self, workload, algorithm, d):
+        """The lanes keep their state in ``out``, so an ``out`` over the
+        queries' own memory overwrote queries that later steps read: at
+        d = 8 most answers came out wrong, and no error was raised."""
+        p, z, _ = workload
+        buf = np.zeros(len(z), dtype=np.int64)
+        queries = buf.view(z.dtype)[: len(z)]
+        queries[:] = z
+        with pytest.raises(ValueError, match="^output array must be .* clear of the queries$"):
+            run_batch(prepare(algorithm, p), queries, d=d, out=buf)
+        assert np.array_equal(queries, z)
+
+    def test_output_beside_the_queries_accepted(self, workload):
+        """An ``out`` that sits beside the queries in one buffer, on either
+        side, is answered right and leaves the queries as they were."""
+        p, z, want = workload
+        m = len(z)
+        for algorithm in ALGORITHMS:
+            prep = prepare(algorithm, p)
+            for d in (1, 8):
+                for first in (True, False):
+                    buf = np.zeros(2 * m, dtype=np.int64)
+                    out, rest = (buf[m:], buf[:m]) if first else (buf[:m], buf[m:])
+                    queries = rest.view(z.dtype)[:m]
+                    queries[:] = z
+                    assert run_batch(prep, queries, d=d, out=out) is out
+                    assert np.array_equal(out, want), (algorithm, d, first)
+                    assert np.array_equal(queries, z)
 
     def test_lane_width_validated(self, workload):
         p, z, _ = workload
@@ -484,6 +517,32 @@ class TestEytzingerTables:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * tree.nbytes, (peak, tree.nbytes)
+
+
+class TestBitset2Tables:
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_scalar_pads_its_knot_list_with_one_object(self, precision):
+        """bitset2 keeps no padded copy of the knots: its structure is its
+        schedule, and its scalar's list holds the knots, then references to
+        X_N up to twice the leading probe.  The padded array, its list and a
+        float per padding slot took 1.8-2 times these bytes at N = 2**20 + 1."""
+        p = gen_uniform_gap_partition((1 << 14) + 2, 1, 5, seed=86, precision=precision)
+        tracemalloc.start()
+        try:
+            prep = prepare("bitset2", p)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        n = p.n_intervals
+        assert prep.structure == bit_schedule(n)
+        (padded,) = prep.scalar.__defaults__
+        assert padded == pad_right_pow2(p).tolist()
+        assert all(x is padded[-1] for x in padded[n:])
+        assert held < 8 * len(padded) + sys.getsizeof(1.0) * (n + 1) + (1 << 16), held
+        z = random_queries(p, 2000, seed=87)
+        want = linear_scan_oracle_batch(p, z)
+        assert [prep.scalar(v) for v in z.tolist()] == want.tolist()
+        assert np.array_equal(run_batch(prep, z, d=8), want)
 
 
 class TestEquivalenceMatrix:

@@ -356,6 +356,12 @@ class TestHarness:
         with pytest.raises(ValueError):
             tiny_throughput(repetitions=0)
 
+    @pytest.mark.parametrize("min_time", [float("inf"), float("nan"), -1.0])
+    def test_min_time_not_finite_or_negative_rejected(self, min_time):
+        """inf overflowed the pass count's int(); nan and -1 timed as 0."""
+        with pytest.raises(ValueError, match="^min_time must be finite and >= 0$"):
+            tiny_throughput(min_time=min_time)
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             tiny_throughput(algorithms=["quantum"])
@@ -491,6 +497,15 @@ class TestBenchCli:
                 "--queries", "10", "--reps", "1", "--min-time", "0.001"]
         assert bench_main(base + option) == 1
         assert "bench: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("min_time", ["inf", "nan", "-1"])
+    def test_bad_min_time_is_usage_error(self, capsys, min_time):
+        args = ["throughput", "--sizes", "15", "--algos", "classic", "--queries", "10",
+                "--reps", "1", f"--min-time={min_time}"]
+        assert bench_main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "bench: error: min_time must be finite and >= 0\n"
+        assert captured.out == ""
 
     def test_bad_sizes_list_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -724,15 +739,30 @@ class TestIndexCli:
             assert exc.value.code == 1
 
 
-def test_perfbench_rebuild_smoke():
-    """One short traced run of the rebuild workload calls every library
-    entry the benchmark uses, and its answers pass the benchmark's gate."""
+def assert_perfbench_passes(*args):
+    """perfbench, run from the repo root, exits 0 and its last JSON line
+    reports correct answers and no failed operation."""
     root = Path(__file__).resolve().parent.parent
     run = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "rebuild",
-         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        [sys.executable, "perfbench/run.py", *args],
         cwd=root, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr[-2000:]
     last = json.loads(run.stdout.strip().splitlines()[-1])
     assert last["correct"] is True and last["failed"] == 0, last
+
+
+def test_perfbench_rebuild_smoke():
+    """One short traced run of the rebuild workload calls every library
+    entry the benchmark uses, and its answers pass the benchmark's gate."""
+    assert_perfbench_passes(
+        "--workload", "rebuild", "--seed", "1", "--seconds", "1", "--trace", "1"
+    )
+
+
+def test_perfbench_bulk_eytzinger_untraced_smoke():
+    """One short untraced run of bulk-eytzinger prepares the Eytzinger
+    layout and runs the benchmark's memory pass, which a traced run skips."""
+    assert_perfbench_passes(
+        "--workload", "bulk-eytzinger", "--seed", "1", "--seconds", "0.5", "--trace", "0"
+    )

@@ -5,7 +5,6 @@ from fastsearch.binsearch import bit_schedule, classic_seq, offset_schedule
 from fastsearch.partition import (
     gen_uniform_gap_partition,
     linear_scan_oracle,
-    pad_right_pow2,
     validate_partition,
 )
 
@@ -16,6 +15,7 @@ from reference import (
     bitset3_seq,
     offset_constants,
     offset_seq,
+    pad_right_pow2,
     probe_constant,
 )
 

@@ -17,12 +17,11 @@ from fastsearch.partition import (
     gen_uniform_gap_partition,
     linear_scan_oracle,
     linear_scan_oracle_batch,
-    pad_right_pow2,
     validate_partition,
 )
 
 from helpers import NON_REAL_BATCHES, boundary_probes
-from reference import probe_constant
+from reference import pad_right_pow2, probe_constant
 
 
 class TestValidate:
