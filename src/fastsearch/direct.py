@@ -193,30 +193,28 @@ def _fill_table(table: np.ndarray, xs: np.ndarray, h, q: int) -> bool:
     j <= f_i) K_j = #{i : f_i < j}, and at gap q > 1 (K_j = max{i : f_i
     <= j}) K_j = #{i >= 1 : f_i <= j}.  So every knot i >= 1 adds one at
     bucket f_{i-1} + 1 (gap 1) or f_i (gap q), and a running sum turns the
-    counts into K.  After each chunk's adds, the running sum runs up to
-    the first bucket the next chunk adds to, so every entry is final one
-    chunk after its knots were read.
+    counts into K.
 
     The running sum goes through a strided operand: with numpy 2.4,
     ``np.add.accumulate`` in place over 3.1M contiguous uint32 buckets
     took 7.8 ms, and over the strided ``idx`` field of fused records 1.6
-    ms.  So a fused table is summed in place, and a plain K in pieces into
+    ms.  So a plain K is summed once, after all its adds, in pieces into
     the bucket scratch ``j`` viewed as every other uint32, each piece
     copied back; consecutive pieces share one entry, so each piece starts
-    from a final one.
+    from a final one.  A table of fused records is summed in place run by
+    run: after each chunk's adds, the running sum runs up to the first
+    bucket the next chunk adds to, and X_K is written to the ``val`` field
+    of that finished run.
 
-    Separation is proven chunk by chunk; the fill returns False at the
-    first chunk that fails it, leaving the table part filled.  At gap 1
-    separated knots add at distinct buckets, so each add writes a 1 and K
-    reaches b - 1 just below the first bucket of the chunk after [a, b);
-    knots that share a bucket write one 1 and leave K short.
-    (``build_index`` checks the last pair, (N - 1, N), before allocating.)
-    At gap q > 1 a bucket may hold q knots, so ``np.add.at`` counts the
-    adds, and the chunk [a, b) compares the pairs (i - q, i) for i in
-    [a, b), reading the q knots before a.
-
-    A table of fused records gets its K in the ``idx`` field and, right
-    after each run, X_K in the ``val`` field.
+    At gap 1 separation is proven once, by K's final count: f is monotone,
+    so separated knots add at distinct buckets, each add writes a 1 and K
+    ends at N, while knots that share a bucket write one 1 there and leave
+    K short.  (``build_index`` checks the last pair, (N - 1, N), before
+    allocating: its add would land past R.)  At gap q > 1 a bucket may
+    hold q knots, so ``np.add.at`` counts every add; the chunk [a, b)
+    compares the pairs (i - q, i) for i in [a, b), reading the q knots
+    before a, and the fill returns False at the first chunk that fails,
+    leaving the table part filled.
     """
     fused = table.dtype.names is not None
     k = table["idx"] if fused else table
@@ -239,10 +237,8 @@ def _fill_table(table: np.ndarray, xs: np.ndarray, h, q: int) -> bool:
         val = table["val"]
         at = np.empty(min(chunk, len(table)), dtype=np.int64)
         got = np.empty(len(at), dtype=xs.dtype)
-    else:
-        piece = j.view(K_DTYPE)[::2]
+        done = 0  # k[:done] holds final entries
     one = K_DTYPE(1)
-    done = 0  # k[:done] holds final entries
     for a in range(1, n + 1, chunk):
         b = min(a + chunk, n + 1)
         lo, hi = max(a - q, 0), min(b, n) + 1 - shift  # the knots read
@@ -257,8 +253,8 @@ def _fill_table(table: np.ndarray, xs: np.ndarray, h, q: int) -> bool:
             if s < t and not np.greater(j[s:t], j[s - q : t - q], out=hit[: t - s]).all():
                 return False
             np.add.at(k, adds, one)
-        end = len(k) if b > n else int(j[b - shift - lo])
         if fused:
+            end = len(k) if b > n else int(j[b - shift - lo])
             run = k[max(done - 1, 0) : end]
             np.add.accumulate(run, out=run)
             for c in range(done, end, len(at)):
@@ -266,15 +262,14 @@ def _fill_table(table: np.ndarray, xs: np.ndarray, h, q: int) -> bool:
                 at[: d - c] = k[c:d]
                 np.take(xs, at[: d - c], out=got[: d - c], mode="clip")
                 val[c:d] = got[: d - c]
-        else:
-            for c in range(max(done - 1, 0), end - 1, len(piece) - 1):
-                d = min(c + len(piece), end)
-                np.add.accumulate(k[c:d], out=piece[: d - c])
-                k[c:d] = piece[: d - c]
-        if shift and k[end - 1] != b - 1:
-            return False
-        done = end
-    return True
+            done = end
+    if not fused:
+        piece = j.view(K_DTYPE)[::2]
+        for c in range(0, len(k) - 1, len(piece) - 1):
+            d = min(c + len(piece), len(k))
+            np.add.accumulate(k[c:d], out=piece[: d - c])
+            k[c:d] = piece[: d - c]
+    return k[-1] == n
 
 
 class _NotSeparated(ValueError):
@@ -295,7 +290,8 @@ def build_index(
     K is allocated once, at its final size R + 1, and filled chunk by
     chunk from the knots (see ``_fill_table``), so the build allocates no
     N- or R-sized temporary.  The fill proves separation from the buckets
-    it computes, so no K is returned for an h that fails it.  With
+    it computes (at gap 1 by K's final count, N), so no K is returned for
+    an h that fails it.  With
     ``fused`` (gap 1 only) it allocates only the (index, knot value)
     records, aligned as a C struct (8 bytes in single precision, 16 in
     double), and fills their ``idx`` field as K and their ``val`` field as
@@ -308,7 +304,8 @@ def build_index(
     f(X_{N-1}) not below r, and Overflow when R + 1 exceeds
     ``_max_buckets(N)``, all before allocating anything.
     Raises ValueError("h does not separate the knots at gap q") after
-    allocating K when a pair (i - q, i) shares a bucket.
+    allocating K (at gap 1, after filling it) when a pair (i - q, i)
+    shares a bucket.
     """
     n, q, r = p.n_intervals, operator.index(q), operator.index(r)
     if q < 1:
@@ -340,7 +337,6 @@ def build_index(
     table = np.zeros(r + 1, dtype=record if fused else K_DTYPE)
     if not _fill_table(table, xs, h, q):
         raise _NotSeparated(f"h does not separate the knots at gap {q}")
-    assert (table["idx"] if fused else table)[-1] == n
     table.setflags(write=False)
     return DirectIndex(
         x0=xs[0], h=h, r=r, q=q, n=n, k=None if fused else table, fused=table if fused else None
@@ -401,16 +397,20 @@ def direct_search(idx: DirectIndex, p: SortedPartition, z) -> int:
     """Checked gap-q reference: one bucket read, then q comparisons.
 
     The bucket f(z) is evaluated in the index's precision.  The candidate
-    t = K[f(z)] is corrected by comparing z against X_t .. X_{t-q+1}; a read
-    below X_0 is clamped to X_0, as the gap kernels clamp it (z < X_0
-    never holds, so a clamped read never changes the result).  A fused
+    t = K[f(z)] is corrected by comparing z, as given, against X_t ..
+    X_{t-q+1}; a read below X_0 is clamped to X_0, as the gap kernels clamp
+    it (z < X_0 never holds, so a clamped read never changes the result).
+    A z wider than the index's precision is answered exactly: rounding is
+    monotone and the knots are representable, so a z just below X_i that
+    rounds onto it has candidate t <= i + q - 1, and the compares still
+    reach X_i.  A fused
     index raises ValueError: its records hold the K of its plain twin.  So
     does a partition whose N or X_0 is not the index's, or whose X_N puts z
     past the index's last bucket, and a z that is not one real number.
     """
     if idx.k is None:
         raise ValueError("a fused index is searched through its plain twin, build(p)")
-    check_domain(p, z)
+    z = check_domain(p, z)
     j = int(idx.h * (idx.h.dtype.type(z) - idx.x0))
     if p.n_intervals != idx.n or p.values[0] != idx.x0 or j > idx.r:
         raise ValueError("partition does not match the index")

@@ -147,16 +147,19 @@ def gen_uniform_gap_partition(
     Gaps are drawn in double precision and the accumulated knots are then
     cast to the target precision, so single-precision partitions sample the
     same underlying layout.  The generator is numpy's default PCG64 stream:
-    a fixed seed reproduces the array bit for bit.
+    a fixed seed reproduces the array bit for bit.  Raises ValueError for
+    gaps that are not finite with 0 < gap_lo <= gap_hi, and NonFinite,
+    without a warning, where the knots overflow the precision.
     """
     if size < 2:
         raise ValueError("size must be >= 2")
-    if not (0 < gap_lo <= gap_hi):
-        raise ValueError("need 0 < gap_lo <= gap_hi")
+    if not (0 < gap_lo <= gap_hi < np.inf):
+        raise ValueError("need 0 < gap_lo <= gap_hi < inf")
     rng = np.random.default_rng(seed)
     gaps = rng.uniform(gap_lo, gap_hi, size=size - 1)
-    knots = np.concatenate([[0.0], np.cumsum(gaps)])
-    return validate_partition(knots.astype(dtype_of(precision)), precision)
+    with np.errstate(over="ignore"):  # an overflowed knot is refused as NonFinite
+        knots = np.concatenate([[0.0], np.cumsum(gaps)]).astype(dtype_of(precision))
+    return validate_partition(knots, precision)
 
 
 def gen_queries(p: SortedPartition, count: int, seed: int) -> np.ndarray:
@@ -173,14 +176,18 @@ def gen_queries(p: SortedPartition, count: int, seed: int) -> np.ndarray:
     return _frozen(z)
 
 
-def check_domain(p: SortedPartition, z) -> None:
-    """Raise ValueError naming the type of a z that is not one real number,
-    and OutOfDomain unless X_0 <= z < X_N; an int past the float range is outside."""
-    if np.ndim(z) or not holds_reals(np.asarray(z)):
+def check_domain(p: SortedPartition, z):
+    """Return z as a numpy scalar, so it compares with the knots as given
+    (numpy compares a Python float with float32 knots in float32).  Raise
+    ValueError naming the type of a z that is not one real number, and
+    OutOfDomain unless X_0 <= z < X_N; an int past the float range is outside."""
+    value = np.asarray(z)
+    if value.ndim or not holds_reals(value):
         raise ValueError(f"a query must be a real number, got {type(z).__name__}")
+    value = value[()]
     with suppress(OverflowError):  # a Python int too large for a float
-        if p.values[0] <= z < p.values[-1]:
-            return
+        if p.values[0] <= value < p.values[-1]:
+            return value
     raise OutOfDomain(f"z={z!r} outside [{p.values[0]!r}, {p.values[-1]!r})")
 
 
@@ -188,9 +195,10 @@ def linear_scan_oracle(p: SortedPartition, z) -> int:
     """Reference answer: walk the knots and return max{i : X_i <= z}.
 
     Deliberately naive -- O(N) per query and free of any search structure --
-    so every other algorithm can be checked against it.
+    so every other algorithm can be checked against it.  It compares the
+    query as given, as ``check_domain`` returns it.
     """
-    check_domain(p, z)
+    z = check_domain(p, z)
     xs = p.values
     i = 0
     last = len(xs) - 2

@@ -507,6 +507,24 @@ class TestBenchCli:
         assert captured.err == "bench: error: min_time must be finite and >= 0\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "gaps, message",
+        [
+            (["--gap-hi", "inf"], "need 0 < gap_lo <= gap_hi < inf"),
+            (["--gap-lo", "1e300", "--gap-hi", "1e300"], "non-finite value at position 1"),
+        ],
+        ids=["infinite", "overflowing"],
+    )
+    def test_bad_gaps_are_usage_error(self, capsys, gaps, message):
+        """An infinite gap ended in numpy's OverflowError, and knots past
+        float32's range in a RuntimeWarning, not the error line."""
+        args = ["throughput", "--sizes", "15", "--algos", "classic", "--queries", "10",
+                "--reps", "1", "--precision", "single", *gaps]
+        assert bench_main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"bench: error: {message}\n"
+        assert captured.out == ""
+
     def test_bad_sizes_list_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             bench_main(["throughput", "--sizes", "1,x"])
@@ -765,4 +783,13 @@ def test_perfbench_bulk_eytzinger_untraced_smoke():
     layout and runs the benchmark's memory pass, which a traced run skips."""
     assert_perfbench_passes(
         "--workload", "bulk-eytzinger", "--seed", "1", "--seconds", "0.5", "--trace", "0"
+    )
+
+
+def test_perfbench_bulk_direct_untraced_smoke():
+    """One short untraced run of bulk-direct fills the plain, gap-2 and
+    fused tables at N = 2**20 and runs the benchmark's memory pass over
+    that set-up."""
+    assert_perfbench_passes(
+        "--workload", "bulk-direct", "--seed", "1", "--seconds", "0.5", "--trace", "0"
     )

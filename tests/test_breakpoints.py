@@ -11,7 +11,7 @@ these queries is right for every float in [X_0, X_N).
 import numpy as np
 import pytest
 
-from fastsearch import direct
+from fastsearch import batch, direct
 from fastsearch.batch import ALGORITHMS, prepare, run_batch
 from fastsearch.direct import build
 from fastsearch.partition import gen_uniform_gap_partition, validate_partition
@@ -58,6 +58,30 @@ def test_every_kernel_right_at_every_breakpoint(case):
         for d in (8, 1):
             got = run_batch(prep, z, d=d)
             assert np.array_equal(got, want), (algorithm, d, z[got != want][:5])
+
+
+def test_every_kernel_right_at_every_breakpoint_on_two_threads(monkeypatch):
+    """The proof with the lanes split over two threads: each kernel gets
+    at least two lane blocks of breakpoints, and run_batch runs them in
+    two spans, whatever the host's CPU count."""
+    p = gen_uniform_gap_partition((1 << 15) + 2, 1, 5, 15, "single")
+    workers = []
+
+    class Pool(batch.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(batch.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(batch, "ThreadPoolExecutor", Pool)
+    for algorithm in ALGORITHMS:
+        prep = prepare(algorithm, p)
+        z = breakpoints(p, prep.structure) if algorithm in DIRECT else p.values[:-1]
+        assert len(z) >= 2 * batch._BLOCK
+        want = true_answers(p, z)
+        got = run_batch(prep, z, d=8, threads=2)
+        assert np.array_equal(got, want), (algorithm, z[got != want][:5])
+    assert workers == [2] * (len(ALGORITHMS) - 1)  # classic has no lanes
 
 
 @pytest.mark.parametrize("q", [1, 2])

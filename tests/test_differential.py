@@ -21,11 +21,18 @@ from hypothesis import strategies as st
 
 from fastsearch.batch import ALGORITHMS, prepare, run_batch
 from fastsearch.bench.persist import load_index, save_index
-from fastsearch.direct import HGrowthStats, build, build_index, compute_h_r, verify_index
+from fastsearch.direct import (
+    HGrowthStats,
+    build,
+    build_index,
+    compute_h_r,
+    direct_search,
+    verify_index,
+)
 from fastsearch.errors import InfeasibleError
 from fastsearch.partition import linear_scan_oracle_batch, validate_partition
 
-from helpers import boundary_probes, same_build
+from helpers import boundary_probes, breakpoints, same_build, true_answers
 from reference import certify_seq
 
 #: Gap of each direct kernel's table.
@@ -87,6 +94,30 @@ def test_every_kernel_matches_oracle(p, as_float64):
         for d in (1, 8):
             got = run_batch(prep, queries, d=d)
             assert np.array_equal(got, want), (name, d, p.values, queries[got != want])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(p=adversarial_partitions())
+def test_direct_kernels_right_at_every_breakpoint(p):
+    """``test_breakpoints``' proof over the adversarial partitions: each
+    direct kernel, lanes and scalar, and ``direct_search`` over its plain
+    index, give the true answer at every breakpoint of the index, so at
+    every float of [X_0, X_N)."""
+    for name, q in GAP.items():
+        try:
+            if certify_seq(p.values, q)[1] > MAX_TABLE:
+                continue
+            prep = prepare(name, p)
+        except InfeasibleError:
+            continue
+        z = breakpoints(p, prep.structure)
+        want = true_answers(p, z)
+        for d in (1, 8):
+            got = run_batch(prep, z, d=d)
+            assert np.array_equal(got, want), (name, d, p.values, z[got != want])
+        if prep.structure.k is not None:
+            got = [direct_search(prep.structure, p, v) for v in z.tolist()]
+            assert got == want.tolist(), (name, p.values)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)

@@ -402,6 +402,22 @@ class TestSearchKernels:
         for z in boundary_probes(p):
             assert direct_search(idx, p, z) == linear_scan_oracle(p, z)
 
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_reference_answers_double_queries_as_given(self, q):
+        """direct_search takes its bucket from z rounded to float32, and its
+        q comparisons of the unrounded z settle the answer: a double query
+        one ulp below a knot, which rounds onto it, falls in the interval
+        before, as a Python float and as a numpy float64."""
+        p = gen_uniform_gap_partition(1025, 1, 5, seed=12, precision="single")
+        idx, _ = build(p, q=q)
+        xs = p.values.astype(np.float64)
+        down, up = np.nextafter(xs[1:], -np.inf), np.nextafter(xs[:-1], np.inf)
+        z = np.concatenate([xs[:-1], down, up, (xs[:-1] + xs[1:]) / 2])
+        assert (down.astype(np.float32) == p.values[1:]).all()
+        want = true_answers(p, z).tolist()
+        for kind in (float, np.float64):
+            assert [direct_search(idx, p, kind(v)) for v in z] == want
+
     def test_fused_matches_plain(self):
         p = gen_uniform_gap_partition(255, 1, 5, seed=10)
         idx, _ = build(p)
@@ -613,13 +629,15 @@ class TestSeparationInTheFill:
     @pytest.mark.parametrize("precision", ["single", "double"])
     @pytest.mark.parametrize("q", [1, 2, 3])
     @pytest.mark.parametrize(
-        "at", ["q", C, C + 1, C + 2, C + 3, 2 * C + 1, "n-1", "n"]
+        "at", ["q", C, C + 1, C + 2, C + 3, 2 * C + 1, "n-1", "n", C + C // 2, 3 * C + 4]
     )
     def test_one_failing_pair_anywhere(self, at, q, precision):
         """Chunk m checks the pairs (i - q, i) for i in [1 + mC, 1 + (m+1)C),
         reading q knots of the chunk before it.  A lone failing pair at
-        either side of a chunk edge, at the first pair or at the last, is
-        found; the same knots without it build the run-length K."""
+        either side of a chunk edge, at the first pair or at the last, in
+        the middle of a chunk or in the last chunk [3C + 1, 3C + 8), is
+        found, plain and fused; the same knots without it build the
+        run-length K."""
         n = 3 * self.C + 7
         c = {"q": q, "n-1": n - 1, "n": n}.get(at, at)
         p = one_collision(n, q, c, precision)
@@ -628,8 +646,9 @@ class TestSeparationInTheFill:
         assert (np.flatnonzero(f[q:] <= f[:-q]) + q).tolist() == [c]
         assert not separates_seq(p.values, h, q)
         r = int(f[-1])
-        with pytest.raises(ValueError, match=f"h does not separate the knots at gap {q}"):
-            build_index(p, h, r, q=q)
+        for fused in (False, True) if q == 1 else (False,):
+            with pytest.raises(ValueError, match=f"h does not separate the knots at gap {q}"):
+                build_index(p, h, r, q=q, fused=fused)
         clean = validate_partition(2.0 * np.arange(n + 1), precision)
         want = repeat_table(clean, h, n, q)
         assert build_index(clean, h, n, q=q).k.tobytes() == want.tobytes()

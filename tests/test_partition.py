@@ -186,6 +186,23 @@ class TestGenerators:
         c = gen_uniform_gap_partition(512, 1, 5, seed=100)
         assert not np.array_equal(a.values, c.values)
 
+    @pytest.mark.parametrize("gaps", [(1, np.inf), (np.inf, np.inf)], ids=["hi", "both"])
+    def test_infinite_gap_rejected(self, gaps):
+        """numpy's ``uniform`` raised OverflowError for an infinite gap."""
+        with pytest.raises(ValueError, match=re.escape("need 0 < gap_lo <= gap_hi < inf")):
+            gen_uniform_gap_partition(15, *gaps, seed=1)
+
+    @pytest.mark.parametrize(
+        "gaps, precision",
+        [((1e300, 1e300), "single"), ((1e307, 1e308), "double")],
+        ids=["single", "double"],
+    )
+    def test_overflowing_knots_non_finite_without_warning(self, gaps, precision):
+        """The cast to float32, or the sum of the gaps, overflowed with a
+        RuntimeWarning, which the warning filter turned into the error."""
+        with pytest.raises(NonFinite):
+            gen_uniform_gap_partition(15, *gaps, seed=1, precision=precision)
+
     def test_single_precision_cast(self):
         p64 = gen_uniform_gap_partition(64, 1, 5, seed=3, precision="double")
         p32 = gen_uniform_gap_partition(64, 1, 5, seed=3, precision="single")
@@ -365,8 +382,22 @@ class TestQueryTypes:
         p = gen_uniform_gap_partition(255, 1, 5, seed=2011, precision="single")
         below = np.nextafter(np.float64(p.values[5]), -np.inf)
         assert np.float32(below) == p.values[5]
-        values = [1.5, 2, np.float32(2.5), np.float64(7.25), True, np.True_, 100, below]
+        values = [1.5, 2, np.float32(2.5), np.float64(7.25), True, np.True_, 100, below, float(below)]
         want = [linear_scan_oracle(p, v) for v in values]
-        assert want[-1] == 4
+        assert want[-2:] == [4, 4]
         for queries in (values, np.array(values, dtype=object)):
             assert linear_scan_oracle_batch(p, queries).tolist() == want
+
+    @pytest.mark.parametrize("name", ["linear_scan_oracle", "direct_search"])
+    def test_scalar_answers_the_value_as_given(self, name):
+        """A double query just below a single knot is compared unrounded,
+        whatever its Python type.  numpy compared a Python float with the
+        float32 knots in float32, so both searches answered 5 just below
+        X_5 and raised OutOfDomain just below X_N."""
+        p = gen_uniform_gap_partition(64, 1, 5, seed=3, precision="single")
+        search = scalar_search(name, p)
+        for at, want in ((5, 4), (p.n_intervals, p.n_intervals - 1)):
+            below = np.nextafter(np.float64(p.values[at]), -np.inf)
+            assert np.float32(below) == p.values[at]
+            assert linear_scan_oracle_batch(p, [below])[0] == want
+            assert [search(kind(below)) for kind in (float, np.float64)] == [want, want]
